@@ -17,7 +17,7 @@ import time
 from graphfaith.faithfulness import is_faithful
 from graphfaith.graphs import MixedGraph, arc, arrow, graph_to_text, induced_model, line
 from graphfaith.models import _stabilities_hold
-from graphfaith.preorders import _iter_anterial_directings, minimal_preorder
+from graphfaith.preorders import _iter_anterial_directings
 
 LABELS = tuple("abcd")
 
@@ -56,10 +56,11 @@ def main():
         if model.members in seen:
             continue
         seen.add(model.members)
-        for h in _iter_anterial_directings(model):
-            if not _stabilities_hold(model, minimal_preorder(h)):
+        for directing in _iter_anterial_directings(model):
+            if not _stabilities_hold(model, directing.preorder):
                 continue
             screened_total += 1
+            h = directing.graph()
             if is_faithful(model, h):
                 faithful_total += 1
             elif len(gap_examples) < 3:

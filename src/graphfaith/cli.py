@@ -234,7 +234,7 @@ def _cmd_graphical(args: argparse.Namespace) -> int:
     if args.class_filter:
         verdict = restricted_graphical(model, args.class_filter, caps=caps)
     else:
-        verdict = decide_graphical(model, caps=caps, workers=args.parallel)
+        verdict = decide_graphical(model, caps=caps)
     payload = verdict.to_json_dict()
     if verdict.graphical:
         human = f"graphical: yes ({len(verdict.witnesses)} witness graphs)"
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=int, default=None, help="override the enumeration caps")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands (reserved)")
-        p.add_argument("--parallel", type=int, default=1, help="worker count for enumeration-heavy calls")
 
     p = sub.add_parser("classify", help="graph class flags incl. maximality")
     p.add_argument("--graph", required=True)

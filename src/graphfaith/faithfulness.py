@@ -2,22 +2,25 @@
 
 The central decision: a model is faithful to some graph exactly when it is a
 singleton-transitive compositional graphoid and its skeleton admits a
-directing that is faithful to it.  Candidate directings are screened by the
-compatible-preorder stability conditions (necessary, and cheap) and then
-confirmed by direct model equality (the confirmation is load-bearing: the
-screen alone over-accepts on some anterial-but-not-ancestral directings; see
-_scan_candidates).  The confirmed witnesses are exactly the minimally-Markov
-members of the model's Markov equivalence class.
+directing that is faithful to it.  The search walks the anterial directings
+of the skeleton depth first and prunes every prefix that already closes a
+semi-directed cycle or puts an arc between a node and its anterior; adding
+edges never removes either failure, so no anterial directing is lost.  Each
+candidate is screened by the compatible-preorder stability conditions
+(necessary, and cheap) and then confirmed by direct model equality (the
+confirmation is load-bearing: the screen alone over-accepts on some
+anterial-but-not-ancestral directings; see _scan_candidates).  The
+confirmed witnesses are exactly the minimally-Markov members of the model's
+Markov equivalence class.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import GraphError, InternalCheckError, ModelError
-from .graphs import ARROW, MixedGraph, arc, induced_model, line
+from .graphs import ARC, LINE, MixedGraph, arc, induced_model, line
 from .limits import DEFAULT_CAPS
 from .models import (
     CheckReport,
@@ -31,7 +34,8 @@ from .models import (
     check_upward_stability,
     skeleton_pairs,
 )
-from .preorders import _iter_anterial_directings, minimal_preorder
+# minimal_preorder stays bound here: perfbench's tracer wraps faithfulness.minimal_preorder.
+from .preorders import Directing, _iter_anterial_directings, minimal_preorder  # noqa: F401
 
 
 def model_skeleton(model: IndependenceModel) -> MixedGraph:
@@ -150,11 +154,11 @@ def _axiom_gate(
 
 def _scan_candidates(
     model: IndependenceModel,
-    candidates: Iterable[MixedGraph],
+    candidates: Iterable[Directing],
     model_cap: int,
 ) -> tuple[list[MixedGraph], int, int]:
     """Keep the candidates that pass the stability screen *and* direct
-    faithfulness verification.
+    faithfulness verification; also count the candidates and screen passes.
 
     The stability screen is necessary (a faithful graph always satisfies both
     ordered stabilities w.r.t. its minimal preorder) but not sufficient: on
@@ -164,17 +168,17 @@ def _scan_candidates(
     4-cycle a-c-b-d, the directing {a--c, a<->d, b<->c, b--d} passes the
     screen, but the walk c <-> b <-> c -- a <-> d connects c and d given
     {a,b}, so its induced model is strictly smaller.  Verification therefore
-    filters rather than asserts.
+    filters rather than asserts.  Only screen passes are built as graphs.
     """
     witnesses: list[MixedGraph] = []
     tried = 0
     screened = 0
-    for g in candidates:
+    for directing in candidates:
         tried += 1
-        p = minimal_preorder(g)
-        if not _stabilities_hold(model, p):
+        if not _stabilities_hold(model, directing.preorder):
             continue
         screened += 1
+        g = directing.graph()
         if is_faithful(model, g, cap=model_cap):
             witnesses.append(g)
     return witnesses, tried, screened
@@ -184,19 +188,20 @@ def decide_graphical(
     model: IndependenceModel,
     *,
     caps=DEFAULT_CAPS,
-    workers: int = 1,
 ) -> FaithfulnessVerdict:
     """Decide whether some graph is faithful to the model.
 
     Condition checks run in a fixed order (semi-graphoid, intersection,
     composition, singleton-transitivity) and the first failure wins.  When
-    they pass, every anterial directing of the model's skeleton is tried:
-    its minimal preorder is compatible by construction, and the directing is
-    a witness when both ordered stabilities hold and direct verification
-    confirms faithfulness (see _scan_candidates for why the second step is
-    load-bearing).  Exact either way: a faithful graph must have the model's
-    skeleton and must pass the stability screen, so the candidate sweep sees
-    every possible witness.
+    they pass, every anterial directing of the model's skeleton is tried, as
+    the pruned depth-first search yields it: its minimal preorder is
+    compatible by construction, and the directing is a witness when both
+    ordered stabilities hold and direct verification confirms faithfulness
+    (see _scan_candidates for why the second step is load-bearing).
+    Exact either way: a faithful graph must have the model's skeleton, must
+    be anterial (pruning drops only prefixes whose every completion is not)
+    and must pass the stability screen, so the sweep sees every possible
+    witness.  Candidates are streamed, never held in a list.
     """
     failure = _axiom_gate(
         model,
@@ -209,18 +214,11 @@ def decide_graphical(
     )
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
-    model_cap = max(caps.model_nodes, model.n)
-    candidates = list(_iter_anterial_directings(model, edge_cap=caps.skeleton_edges))
-    if workers > 1 and len(candidates) > 1:
-        chunk = (len(candidates) + workers - 1) // workers
-        blocks = [candidates[k : k + chunk] for k in range(0, len(candidates), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda block: _scan_candidates(model, block, model_cap), blocks))
-        witnesses = [g for ws, _, _ in results for g in ws]
-        tried = sum(t for _, t, _ in results)
-        screened = sum(s for _, _, s in results)
-    else:
-        witnesses, tried, screened = _scan_candidates(model, candidates, model_cap)
+    witnesses, tried, screened = _scan_candidates(
+        model,
+        _iter_anterial_directings(model, edge_cap=caps.skeleton_edges),
+        max(caps.model_nodes, model.n),
+    )
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
     return FaithfulnessVerdict(
@@ -340,11 +338,11 @@ def _restricted_dag(model: IndependenceModel, caps) -> FaithfulnessVerdict:
     )
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
-    dags = [
-        g
-        for g in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges)
-        if all(e.kind == ARROW for e in g.edges)
-    ]
+    dags = (
+        d
+        for d in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges)
+        if LINE not in d.choices and ARC not in d.choices
+    )
     witnesses, tried, screened = _scan_candidates(model, dags, max(caps.model_nodes, model.n))
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)

@@ -110,6 +110,50 @@ class IndependenceModel:
     def _has(self, amask: int, bmask: int, cmask: int) -> bool:
         return bool((self.members >> self._code(amask, bmask, cmask)) & 1)
 
+    @cached_property
+    def _stability_table(self) -> tuple[tuple[int, int, int, int, tuple, tuple], ...]:
+        """What the ordered stabilities of any preorder can trip on.
+
+        One row per pair i < j that some single k breaks: (i, j, up_any,
+        down_any, ups, downs).  For each member <i,j|C>, `ups` holds (C, up)
+        with up the nodes k outside C whose addition leaves the model, and
+        `downs` holds (C, down) with down the k in C whose removal does;
+        empty masks are left out.  up_any and down_any are their unions.
+        """
+        n = self.n
+        full = (1 << n) - 1
+        has = self._has
+        table = []
+        for i in range(n):
+            im = 1 << i
+            for j in range(i + 1, n):
+                jm = 1 << j
+                rest = full ^ im ^ jm
+                ups, downs = [], []
+                up_any = down_any = 0
+                cm = 0
+                while True:
+                    if has(im, jm, cm):
+                        up = down = 0
+                        for k in _iter_bits(rest ^ cm):
+                            if not has(im, jm, cm | (1 << k)):
+                                up |= 1 << k
+                        for k in _iter_bits(cm):
+                            if not has(im, jm, cm ^ (1 << k)):
+                                down |= 1 << k
+                        if up:
+                            ups.append((cm, up))
+                            up_any |= up
+                        if down:
+                            downs.append((cm, down))
+                            down_any |= down
+                    if cm == rest:
+                        break
+                    cm = (cm - rest) & rest
+                if up_any or down_any:
+                    table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
+        return tuple(table)
+
     # -- construction --------------------------------------------------
 
     @classmethod
@@ -665,10 +709,44 @@ def check_dag_ordered_stabilities(
 
 
 def _stabilities_hold(model: IndependenceModel, preorder: "Preorder") -> bool:
-    """Fast short-circuit used inside directing enumeration loops."""
-    if next(_iter_ordered_up_violations(model, preorder), None) is not None:
-        return False
-    return next(_iter_ordered_down_violations(model, preorder), None) is None
+    """Both ordered stabilities hold; the screen of the directing search.
+
+    Answers from `model._stability_table` with a few mask tests per pair.
+    Upward, k outside C may be added when i or j is below k or k is
+    equivalent to a node of C; downward, k in C may be removed when neither
+    i nor j is below k and no node of C is strictly below k.  The violation
+    generators above are the reference this must agree with.
+    """
+    leq = preorder.leq_rows
+    table = model._stability_table
+    # Most candidates fail here, before the preorder's columns are needed.
+    for i, j, up_any, _, _, _ in table:
+        if up_any & (leq[i] | leq[j]):
+            return False
+    sim_col = preorder._sim_cols
+    lt_col = preorder._lt_cols
+    # Nodes in a class of two or more: only they can be equivalent to a node of C.
+    shared = 0
+    for k, col in enumerate(sim_col):
+        if col != 1 << k:
+            shared |= col
+    for i, j, up_any, down_any, ups, downs in table:
+        near = leq[i] | leq[j]
+        if up_any & shared:
+            for cm, up in ups:
+                if up & shared and cm & shared:
+                    for c in _iter_bits(cm & shared):
+                        if sim_col[c] & up:
+                            return False
+        if down_any & ~near:
+            for cm, down in downs:
+                down &= ~near
+                while down:
+                    low = down & -down
+                    if not lt_col[low.bit_length() - 1] & cm:
+                        return False
+                    down ^= low
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,19 @@ equivalence, and the quotient by it is a partial order.  For anterial
 graphs the minimal preorder makes two nodes comparable exactly when one is
 an anterior of the other, and directing a skeleton by a preorder inverts
 that construction, which is what lets a model's skeleton be searched for
-compatible preorders by enumerating edge directings.
+compatible preorders by enumerating edge directings.  The enumeration is a
+depth-first search over the skeleton edges that carries the anterior masks
+(the minimal preorder) along and prunes a prefix as soon as it closes a
+semi-directed cycle or puts an arc between anterior-related nodes.  Both
+failures are monotone: adding edges only grows anterior sets, so a pruned
+prefix has no anterial completion and nothing is lost.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphError, ParseError, PreorderError
 from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line
@@ -112,8 +116,11 @@ class Preorder:
         n = len(self.ground)
         cols = [0] * n
         for i, row in enumerate(self.leq_rows):
-            for j in _bits(row):
-                cols[j] |= 1 << i
+            bit = 1 << i
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(cols)
 
     @cached_property
@@ -287,20 +294,21 @@ def _skeleton_graph(model: IndependenceModel) -> MixedGraph:
 _EDGE_OPTIONS = (LINE, ARROW, "<-", ARC)
 
 
-def _iter_anterial_directings(
-    model: IndependenceModel, *, edge_cap: int = DEFAULT_CAPS.skeleton_edges
-) -> Iterator[MixedGraph]:
-    """All anterial graphs obtained by directing the model's skeleton,
-    in lexicographic order of the per-edge assignment vector."""
-    pairs = sorted(skeleton_pairs(model))
-    if len(pairs) > edge_cap:
-        raise CapExceededError(
-            f"skeleton has {len(pairs)} edges, above the directing cap {edge_cap}"
-        )
-    nodes = frozenset(model.ground)
-    for assignment in itertools.product(_EDGE_OPTIONS, repeat=len(pairs)):
+class Directing(NamedTuple):
+    """One anterial directing of a model's skeleton.
+
+    `choices[e]` is the option from (LINE, ARROW, "<-", ARC) taken by the
+    e-th sorted skeleton pair (u, v): "--", "u -> v", "v -> u" or "<->".
+    `preorder` is the minimal preorder of the directed graph.
+    """
+
+    pairs: tuple[tuple[str, str], ...]
+    choices: tuple[str, ...]
+    preorder: Preorder
+
+    def graph(self) -> MixedGraph:
         edges = []
-        for (u, v), choice in zip(pairs, assignment):
+        for (u, v), choice in zip(self.pairs, self.choices):
             if choice == LINE:
                 edges.append(line(u, v))
             elif choice == ARROW:
@@ -309,10 +317,88 @@ def _iter_anterial_directings(
                 edges.append(arrow(v, u))
             else:
                 edges.append(arc(u, v))
-        g = MixedGraph(nodes, tuple(edges))
-        if g.semi_directed_cycle() is not None or g.violating_arc() is not None:
+        return MixedGraph(frozenset(self.preorder.ground), tuple(edges))
+
+
+def _direct_edge(
+    ant: list[int], forbid: list[int], u: int, v: int, choice: str
+) -> tuple[list[int], list[int]] | None:
+    """Add one directed skeleton edge to a prefix state, or None if it fails.
+
+    ant[y] is the reflexive anterior mask of y (the row of the minimal
+    preorder); forbid[y] holds the nodes that must never become anteriors of
+    y: the head of every arrow out of y and the far end of every arc at y.
+    """
+    if choice == ARC:
+        if (ant[v] >> u) & 1 or (ant[u] >> v) & 1:
+            return None
+        forbid = forbid.copy()
+        forbid[u] |= 1 << v
+        forbid[v] |= 1 << u
+        return ant, forbid
+    if choice == LINE:
+        steps = ((u, v), (v, u))
+    else:
+        tail, head = (u, v) if choice == ARROW else (v, u)
+        forbid = forbid.copy()
+        forbid[tail] |= 1 << head
+        steps = ((tail, head),)
+    ant = ant.copy()
+    for a, b in steps:
+        # Everything anterior to a becomes anterior to whatever b is anterior to.
+        bit, grown = 1 << b, ant[a]
+        for y, row in enumerate(ant):
+            if row & bit:
+                ant[y] = row | grown
+    for row, banned in zip(ant, forbid):
+        if row & banned:
+            return None
+    return ant, forbid
+
+
+def _iter_anterial_directings(
+    model: IndependenceModel, *, edge_cap: int = DEFAULT_CAPS.skeleton_edges
+) -> Iterator[Directing]:
+    """All anterial directings of the model's skeleton, in lexicographic
+    order of the per-edge choice vector over _EDGE_OPTIONS.
+
+    Depth-first over the sorted skeleton edges.  A prefix is dropped with its
+    whole subtree as soon as an arrow closes a semi-directed cycle (its head
+    becomes an anterior of its tail) or an arc joins a node to one of its
+    anteriors.  Adding edges only grows anterior sets, so neither failure can
+    be undone further down: the pruning is exact, and the yielded directings
+    and their order are those of filtering all 4^k choice vectors.
+    """
+    pairs = tuple(sorted(skeleton_pairs(model)))
+    k = len(pairs)
+    if k > edge_cap:
+        raise CapExceededError(f"skeleton has {k} edges, above the directing cap {edge_cap}")
+    index = model._index
+    ends = [(index[u], index[v]) for u, v in pairs]
+    ground = model.ground
+    states = [([1 << i for i in range(model.n)], [0] * model.n)] + [None] * k
+    if k == 0:
+        yield Directing(pairs, (), Preorder(ground, tuple(states[0][0])))
+        return
+    picks = [-1] * k
+    depth = 0
+    while depth >= 0:
+        picks[depth] += 1
+        if picks[depth] == len(_EDGE_OPTIONS):
+            picks[depth] = -1
+            depth -= 1
             continue
-        yield g
+        ant, forbid = states[depth]
+        u, v = ends[depth]
+        state = _direct_edge(ant, forbid, u, v, _EDGE_OPTIONS[picks[depth]])
+        if state is None:
+            continue
+        if depth + 1 < k:
+            depth += 1
+            states[depth] = state
+        else:
+            choices = tuple(_EDGE_OPTIONS[p] for p in picks)
+            yield Directing(pairs, choices, Preorder(ground, tuple(state[0])))
 
 
 def enumerate_compatible_preorders(
@@ -326,8 +412,8 @@ def enumerate_compatible_preorders(
     compatible by construction.
     """
     seen: set[tuple[int, ...]] = set()
-    for g in _iter_anterial_directings(model, edge_cap=edge_cap):
-        p = minimal_preorder(g)
+    for directing in _iter_anterial_directings(model, edge_cap=edge_cap):
+        p = directing.preorder
         if p.leq_rows in seen:
             continue
         seen.add(p.leq_rows)

@@ -14,8 +14,8 @@ import random
 import hypothesis
 from hypothesis import strategies as st
 
-from graphfaith.graphs import ARROW, HEAD, LINE, MixedGraph, arc, arrow, line
-from graphfaith.models import IndependenceModel, _iter_triple_masks
+from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line
+from graphfaith.models import IndependenceModel, _iter_triple_masks, skeleton_pairs
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, derandomize=True, deadline=None
@@ -270,3 +270,28 @@ def semi_graphoid_closure(model: IndependenceModel) -> IndependenceModel:
                             mask |= bit
                             changed = True
     return IndependenceModel(model.ground, mask)
+
+
+def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
+    """The directing search without pruning: build each of the 4^k directings
+    of the model's skeleton, in itertools.product order over the sorted
+    skeleton pairs and the options (line, u -> v, v -> u, arc), and keep the
+    anterial ones."""
+    pairs = sorted(skeleton_pairs(model))
+    nodes = frozenset(model.ground)
+    kept = []
+    for assignment in itertools.product((LINE, ARROW, "<-", ARC), repeat=len(pairs)):
+        edges = []
+        for (u, v), choice in zip(pairs, assignment):
+            if choice == LINE:
+                edges.append(line(u, v))
+            elif choice == ARROW:
+                edges.append(arrow(u, v))
+            elif choice == "<-":
+                edges.append(arrow(v, u))
+            else:
+                edges.append(arc(u, v))
+        g = MixedGraph(nodes, tuple(edges))
+        if g.semi_directed_cycle() is None and g.violating_arc() is None:
+            kept.append(g)
+    return kept

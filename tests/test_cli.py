@@ -230,13 +230,6 @@ def test_json_flag_never_changes_exit_code(files, capsys):
         assert plain == 1
 
 
-def test_parallel_flag_forwarded(files, capsys):
-    code, out, _ = invoke(capsys, "graphical", "--model", files["coll.ci"], "--parallel", "3", "--json")
-    assert code == 0
-    serial_code, serial_out, _ = invoke(capsys, "graphical", "--model", files["coll.ci"], "--json")
-    assert serial_code == 0 and json.loads(out) == json.loads(serial_out)
-
-
 def test_cap_flag_applies(files, capsys):
     code = run(["model", "--graph", files["coll.graph"], "--cap", "2"])
     assert code == 2

@@ -28,12 +28,14 @@ from graphfaith.faithfulness import (
 )
 from graphfaith.models import (
     IndependenceModel,
+    _iter_ordered_down_violations,
+    _iter_ordered_up_violations,
     _stabilities_hold,
     check_semi_graphoid,
     check_singleton_transitivity,
     skeleton_pairs,
 )
-from graphfaith.preorders import minimal_preorder
+from graphfaith.preorders import _iter_anterial_directings, minimal_preorder
 
 from conftest import LABELS, anterial_graphs, build_graph
 
@@ -257,14 +259,6 @@ def test_witnesses_minimally_markov(graph):
         assert is_pairwise_markov(j, w)
 
 
-def test_workers_match_serial():
-    j = induced_model(g("a -> c\nb -> c\nc -- d"))
-    serial = decide_graphical(j, workers=1)
-    parallel = decide_graphical(j, workers=4)
-    assert serial.graphical == parallel.graphical
-    assert [w.edges for w in serial.witnesses] == [w.edges for w in parallel.witnesses]
-
-
 # -- the stability screen is not sufficient on its own (pinned counterexample) -------
 
 
@@ -286,6 +280,31 @@ def test_stability_screen_requires_verification():
     assert verdict.graphical
     assert rogue not in verdict.witnesses
     assert four_cycle in verdict.witnesses
+
+
+def test_stability_table_matches_violation_generators():
+    # The table-driven screen against the two violation generators, on the
+    # minimal preorder of every anterial directing of graph-induced models
+    # and of single-statement perturbations of them.
+    rng = random.Random(3)
+    outcomes = []
+    models = 0
+    while models < 8:
+        graph = random_anterial_graph(rng, LABELS[: rng.randint(5, 6)], 0.35)
+        j = induced_model(graph)
+        if not 5 <= len(skeleton_pairs(j)) <= 7:
+            continue
+        models += 1
+        for model in (j, flip_one_elementary(rng, j)):
+            for directing in _iter_anterial_directings(model):
+                p = directing.preorder
+                expected = (
+                    next(_iter_ordered_up_violations(model, p), None) is None
+                    and next(_iter_ordered_down_violations(model, p), None) is None
+                )
+                assert _stabilities_hold(model, p) == expected
+                outcomes.append(expected)
+    assert True in outcomes and False in outcomes
 
 
 def test_necessity_disjunction_counterexample_documented():

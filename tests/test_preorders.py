@@ -1,5 +1,6 @@
 """Preorders: quotients, validity, minimal preorders, skeleton directing."""
 
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphfaith.errors import CapExceededError, GraphError, ParseError, PreorderError
-from graphfaith.generate import random_preorder
+from graphfaith.generate import random_preorder, random_skeleton
 from graphfaith.graphs import MixedGraph, arc, arrow, induced_model, line, parse_graph_text, skeleton
 from graphfaith.models import IndependenceModel
 from graphfaith.preorders import (
     Preorder,
+    _iter_anterial_directings,
     direct_skeleton,
     enumerate_compatible_preorders,
     is_compatible,
@@ -22,7 +24,7 @@ from graphfaith.preorders import (
     quotient,
 )
 
-from conftest import LABELS, anterial_graphs
+from conftest import LABELS, anterial_graphs, product_filter_directings
 
 
 def g(text):
@@ -284,6 +286,30 @@ def test_enumerate_edge_cap():
     j = IndependenceModel(tuple("abcdef"), 0)  # complete skeleton: 15 edges
     with pytest.raises(CapExceededError, match="cap"):
         list(enumerate_compatible_preorders(j))
+
+
+def assert_directings_match_reference(model):
+    found = [(d.graph(), d.preorder) for d in _iter_anterial_directings(model)]
+    expected = [(h, minimal_preorder(h)) for h in product_filter_directings(model)]
+    assert found == expected
+
+
+def test_pruned_directings_match_reference_on_every_4_node_skeleton():
+    pairs = list(itertools.combinations("abcd", 2))
+    for bits in range(1 << len(pairs)):
+        lines = [line(u, v) for x, (u, v) in enumerate(pairs) if (bits >> x) & 1]
+        assert_directings_match_reference(induced_model(MixedGraph(frozenset("abcd"), tuple(lines))))
+
+
+def test_pruned_directings_match_reference_on_random_skeletons():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 6:
+        sk = random_skeleton(rng, LABELS[: rng.randint(5, 6)], 0.4)
+        if not 4 <= len(sk.edges) <= 7:
+            continue
+        assert_directings_match_reference(induced_model(sk))
+        checked += 1
 
 
 # -- text format ------------------------------------------------------------------------------
