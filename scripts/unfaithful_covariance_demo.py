@@ -14,7 +14,7 @@ All arithmetic is exact rational; nothing here depends on tolerances.
 
 from fractions import Fraction
 
-from graphfaith.faithfulness import decide_graphical, is_faithful, model_skeleton
+from graphfaith.faithfulness import decide_graphical, is_faithful
 from graphfaith.gaussian import (
     RationalMatrix,
     inverse,
@@ -22,7 +22,7 @@ from graphfaith.gaussian import (
     model_from_covariance,
     partial_covariance,
 )
-from graphfaith.graphs import MixedGraph, graph_to_text, line
+from graphfaith.graphs import MixedGraph, graph_to_text, line, model_skeleton
 from graphfaith.models import check_upward_stability, model_to_text
 
 SIGMA = RationalMatrix.from_rows(

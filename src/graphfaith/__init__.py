@@ -26,7 +26,6 @@ from .faithfulness import (
     is_markov,
     is_minimally_markov,
     is_pairwise_markov,
-    model_skeleton,
     pairwise_conditioning_set,
     restricted_graphical,
 )
@@ -59,6 +58,7 @@ from .graphs import (
     induced_model,
     line,
     markov_equivalent,
+    model_skeleton,
     parse_graph_text,
     separates,
     skeleton,

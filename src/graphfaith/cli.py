@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=int, default=None, help="override the enumeration caps")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands (reserved)")
 
     p = sub.add_parser("classify", help="graph class flags incl. maximality")
     p.add_argument("--graph", required=True)

@@ -38,14 +38,6 @@ from .models import (
 from .preorders import Directing, _iter_anterial_directings, minimal_preorder  # noqa: F401
 
 
-def model_skeleton(model: IndependenceModel) -> MixedGraph:
-    """Lines-only graph with an edge wherever no conditioning set separates."""
-    return MixedGraph(
-        frozenset(model.ground),
-        tuple(line(u, v) for u, v in sorted(skeleton_pairs(model))),
-    )
-
-
 def pairwise_conditioning_set(g: MixedGraph, i: str, j: str) -> frozenset[str]:
     """ant(i) u ant(j) minus the pair itself: the conditioning set that the
     pairwise Markov property tests for a non-adjacent pair."""

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import MatrixError, ParseError
 from .graphs import LINE, MixedGraph
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, model_from_elementary
+from .models import IndependenceModel, _iter_bits, _iter_subsets, model_from_elementary
 
 
 @dataclass(frozen=True)
@@ -200,20 +200,15 @@ def model_from_covariance(
     order = sorted(range(sigma.n), key=lambda r: sigma.labels[r])
     ground = tuple(sigma.labels[r] for r in order)
     n = sigma.n
+    full = (1 << n) - 1
     elem: dict[tuple[int, int], int] = {}
     for a in range(n):
         for b in range(a + 1, n):
             i, j = order[a], order[b]
             bits = 0
-            rest = [p for p in range(n) if p != a and p != b]
-            for sub in range(1 << len(rest)):
-                given = [order[rest[k]] for k in range(len(rest)) if (sub >> k) & 1]
-                if partial_covariance(sigma, i, j, given) == 0:
-                    cmask = 0
-                    for k in range(len(rest)):
-                        if (sub >> k) & 1:
-                            cmask |= 1 << rest[k]
-                    bits |= 1 << cmask
+            for cm in _iter_subsets(full ^ (1 << a) ^ (1 << b)):
+                if partial_covariance(sigma, i, j, [order[k] for k in _iter_bits(cm)]) == 0:
+                    bits |= 1 << cm
             elem[(a, b)] = bits
     return model_from_elementary(ground, elem)
 

@@ -6,7 +6,7 @@ import random
 from typing import Sequence
 
 from .graphs import MixedGraph, arc, arrow, line
-from .models import IndependenceModel, _iter_triple_masks
+from .models import IndependenceModel, _iter_subsets
 from .preorders import Preorder, direct_skeleton
 
 
@@ -118,9 +118,12 @@ def random_mixed_graph(
 def flip_one_elementary(rng: random.Random, model: IndependenceModel) -> IndependenceModel:
     """Toggle one uniformly chosen elementary statement of the model."""
     n = model.n
-    codes = []
-    for am, bm, cm in _iter_triple_masks(n):
-        if am.bit_count() == 1 and bm.bit_count() == 1:
-            codes.append(model._code(am, bm, cm))
+    full = (1 << n) - 1
+    codes = sorted(
+        model._code(1 << i, 1 << j, cm)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j))
+    )
     code = rng.choice(codes)
     return IndependenceModel(model.ground, model.members ^ (1 << code))

@@ -17,7 +17,17 @@ from typing import Iterable, NamedTuple
 
 from .errors import GraphError, ParseError
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, model_from_elementary, _iter_triple_masks
+from .models import (
+    IndependenceModel,
+    _iter_bits,
+    _iter_subsets,
+    _iter_triple_masks,
+    _member_buffer,
+    _members_of,
+    _set_code,
+    model_from_elementary,
+    skeleton_pairs,
+)
 
 TAIL = "tail"
 HEAD = "head"
@@ -513,35 +523,30 @@ def _is_maximal(g: MixedGraph) -> bool:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
+# A few recent models: a 10-node model holds 128 KB of members, and as much
+# again once its byte view is read.
+@lru_cache(maxsize=16)
 def _induced_model_cached(g: MixedGraph, via_elementary: bool) -> IndependenceModel:
     ground = tuple(sorted(g.nodes))
     n = len(ground)
+    full = (1 << n) - 1
+    labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << n)]
     if via_elementary:
         elem: dict[tuple[int, int], int] = {}
         for i in range(n):
             for j in range(i + 1, n):
-                rest = [ground[k] for k in range(n) if k != i and k != j]
                 bits = 0
-                for sub in range(1 << len(rest)):
-                    cset = {rest[k] for k in range(len(rest)) if (sub >> k) & 1}
-                    if separates(g, {ground[i]}, {ground[j]}, cset):
-                        cmask = 0
-                        for k, lab in enumerate(ground):
-                            if lab in cset:
-                                cmask |= 1 << k
-                        bits |= 1 << cmask
+                for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
+                    if separates(g, labels[1 << i], labels[1 << j], labels[cm]):
+                        bits |= 1 << cm
                 elem[(i, j)] = bits
         return model_from_elementary(ground, elem)
     probe = IndependenceModel(ground, 0)
-    mask = 0
+    buf = _member_buffer(n)
     for am, bm, cm in _iter_triple_masks(n):
-        a = probe._labels_of(am)
-        b = probe._labels_of(bm)
-        c = probe._labels_of(cm)
-        if separates(g, a, b, c):
-            mask |= 1 << probe._code(am, bm, cm)
-    return IndependenceModel(ground, mask)
+        if separates(g, labels[am], labels[bm], labels[cm]):
+            _set_code(buf, probe._code(am, bm, cm))
+    return IndependenceModel(ground, _members_of(buf))
 
 
 def induced_model(
@@ -572,6 +577,14 @@ def induced_model(
 def skeleton(g: MixedGraph) -> MixedGraph:
     """Same nodes, one line per adjacent pair (arrowheads and multiplicity dropped)."""
     return MixedGraph(g.nodes, tuple(line(u, v) for u, v in sorted(g.adjacent_pairs)))
+
+
+def model_skeleton(model: IndependenceModel) -> MixedGraph:
+    """Lines-only graph with an edge wherever no conditioning set separates."""
+    return MixedGraph(
+        frozenset(model.ground),
+        tuple(line(u, v) for u, v in sorted(skeleton_pairs(model))),
+    )
 
 
 def markov_equivalent(g1: MixedGraph, g2: MixedGraph, *, cap: int = DEFAULT_CAPS.model_nodes) -> bool:

@@ -5,9 +5,12 @@ sets.  Triples with A or B empty are treated as always present and are never
 stored.  Storage is one bit per disjoint ordered triple: each node of the
 ground set takes one of four roles (out, first side, second side,
 conditioning), giving a base-4 code; the bit for the code with the two sides
-in canonical order is set.  Membership, subset, and equality are then plain
-integer operations, which is what makes the exhaustive axiom scans cheap
-enough to run at desk scale.
+in canonical order is set.  Subset and equality are then plain integer
+operations, which is what makes the exhaustive axiom scans cheap enough to
+run at desk scale.  Lookups and scans read a cached byte view of the same
+bits (code c is bit c & 7 of byte c >> 3), so a membership test reads one
+byte instead of shifting a 4^n-bit integer, and every builder writes its
+members into a bytearray of that layout, turned into the integer once.
 """
 
 from __future__ import annotations
@@ -52,6 +55,61 @@ def _iter_submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         yield sub
+
+
+def _iter_subsets(mask: int) -> Iterator[int]:
+    """All submasks of mask, the empty one first, increasing: the
+    conditioning sets drawn from `mask`."""
+    yield 0
+    yield from _iter_submasks(mask)
+
+
+# _BYTE_BITS[b]: the set bit positions of byte b, increasing.
+_BYTE_BITS = tuple(tuple(k for k in range(8) if (b >> k) & 1) for b in range(256))
+
+
+def _byte_digits(b: int) -> tuple[int, int, int]:
+    """Masks of the base-4 digits 1, 2 and 3 among the four digits of byte b."""
+    masks = [0, 0, 0, 0]
+    for pos in range(4):
+        masks[(b >> (2 * pos)) & 3] |= 1 << pos
+    return masks[1], masks[2], masks[3]
+
+
+_BYTE_DIGITS = tuple(_byte_digits(b) for b in range(256))
+
+
+def _decode_masks(code: int) -> tuple[int, int, int]:
+    """The (A, B, C) masks of a triple code, four digits per byte."""
+    am = bm = cm = 0
+    shift = 0
+    while code:
+        a, b, c = _BYTE_DIGITS[code & 255]
+        am |= a << shift
+        bm |= b << shift
+        cm |= c << shift
+        code >>= 8
+        shift += 4
+    return am, bm, cm
+
+
+def _member_buffer(n: int) -> bytearray:
+    """A zeroed member set over n nodes: code c is bit c & 7 of byte c >> 3."""
+    return bytearray((4**n + 7) >> 3)
+
+
+def _set_code(buf: bytearray, code: int) -> None:
+    """Set the bit of `code`, growing `buf` when it is too short: builders
+    from explicit statements start empty, so a wide ground with few
+    statements costs what its highest code needs, not 4^n bits."""
+    k = code >> 3
+    if k >= len(buf):
+        buf.extend(bytes(k + 1 - len(buf)))
+    buf[k] |= 1 << (code & 7)
+
+
+def _members_of(buf: bytearray) -> int:
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)
@@ -107,8 +165,26 @@ class IndependenceModel:
             wa, wb = wb, wa
         return wa + 2 * wb + 3 * w[cmask]
 
+    @cached_property
+    def _bytes(self) -> bytes:
+        """`members` as little-endian bytes, trailing zero bytes dropped."""
+        return self.members.to_bytes((self.members.bit_length() + 7) >> 3, "little")
+
     def _has(self, amask: int, bmask: int, cmask: int) -> bool:
-        return bool((self.members >> self._code(amask, bmask, cmask)) & 1)
+        code = self._code(amask, bmask, cmask)
+        try:
+            return bool((self._bytes[code >> 3] >> (code & 7)) & 1)
+        except IndexError:  # above the highest member
+            return False
+
+    def _codes(self) -> Iterator[int]:
+        """The member codes in increasing order, read from the byte view."""
+        bits = _BYTE_BITS
+        for k, byte in enumerate(self._bytes):
+            if byte:
+                base = k << 3
+                for b in bits[byte]:
+                    yield base | b
 
     @cached_property
     def _stability_table(self) -> tuple[tuple[int, int, int, int, tuple, tuple], ...]:
@@ -131,8 +207,7 @@ class IndependenceModel:
                 rest = full ^ im ^ jm
                 ups, downs = [], []
                 up_any = down_any = 0
-                cm = 0
-                while True:
+                for cm in _iter_subsets(rest):
                     if has(im, jm, cm):
                         up = down = 0
                         for k in _iter_bits(rest ^ cm):
@@ -147,9 +222,6 @@ class IndependenceModel:
                         if down:
                             downs.append((cm, down))
                             down_any |= down
-                    if cm == rest:
-                        break
-                    cm = (cm - rest) & rest
                 if up_any or down_any:
                     table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
         return tuple(table)
@@ -169,14 +241,14 @@ class IndependenceModel:
         """
         gtuple = tuple(sorted(set(ground)))
         model = cls(gtuple, 0)
-        mask = 0
+        buf = bytearray()
         for a, b, c in statements:
             am, bm, cm = model._mask_of(a), model._mask_of(b), model._mask_of(c)
             _require_disjoint_masks(model, am, bm, cm)
             if not am or not bm:
                 continue  # trivial statements are implicit
-            mask |= 1 << model._code(am, bm, cm)
-        return cls(gtuple, mask)
+            _set_code(buf, model._code(am, bm, cm))
+        return cls(gtuple, _members_of(buf))
 
     @classmethod
     def from_member_mask(cls, ground: Sequence[str], mask: int) -> "IndependenceModel":
@@ -189,7 +261,7 @@ class IndependenceModel:
         model = cls(tuple(sorted(set(ground))), mask)
         if mask < 0 or mask >> (4 ** len(model.ground)):
             raise ModelError("member mask has bits outside the triple code range")
-        for code in _iter_bits(mask):
+        for code in model._codes():
             am, bm, cm = _decode_masks(code)
             if not am or not bm or (am & bm) or (am & cm) or (bm & cm):
                 raise ModelError(f"mask bit {code} is not a valid disjoint triple code")
@@ -202,10 +274,10 @@ class IndependenceModel:
         """The model containing every disjoint triple (everything independent)."""
         gtuple = tuple(sorted(set(ground)))
         probe = cls(gtuple, 0)
-        mask = 0
+        buf = _member_buffer(len(gtuple))
         for am, bm, cm in _iter_triple_masks(len(gtuple)):
-            mask |= 1 << probe._code(am, bm, cm)
-        return cls(gtuple, mask)
+            _set_code(buf, probe._code(am, bm, cm))
+        return cls(gtuple, _members_of(buf))
 
     # -- queries ---------------------------------------------------------
 
@@ -219,8 +291,10 @@ class IndependenceModel:
 
     def statements(self) -> Iterator[Triple]:
         """All stored (non-trivial) statements in increasing code order."""
-        for code in _iter_bits(self.members):
-            yield self._decode(code)
+        labels = self._labels_of
+        for code in self._codes():
+            am, bm, cm = _decode_masks(code)
+            yield labels(am), labels(bm), labels(cm)
 
     def elementary_statements(self) -> Iterator[tuple[str, str, NodeSet]]:
         """Stored statements with singleton sides, as (i, j, C) with i < j."""
@@ -228,21 +302,6 @@ class IndependenceModel:
             if len(a) == 1 and len(b) == 1:
                 i, j = sorted((next(iter(a)), next(iter(b))))
                 yield i, j, c
-
-    def _decode(self, code: int) -> Triple:
-        am = bm = cm = 0
-        pos = 0
-        while code:
-            digit = code & 3
-            code >>= 2
-            if digit == 1:
-                am |= 1 << pos
-            elif digit == 2:
-                bm |= 1 << pos
-            elif digit == 3:
-                cm |= 1 << pos
-            pos += 1
-        return self._labels_of(am), self._labels_of(bm), self._labels_of(cm)
 
     def is_submodel_of(self, other: "IndependenceModel") -> bool:
         if self.ground != other.ground:
@@ -263,26 +322,17 @@ def _require_disjoint_masks(model: IndependenceModel, am: int, bm: int, cm: int)
 def _iter_triple_masks(n: int) -> Iterator[tuple[int, int, int]]:
     """All disjoint (A,B,C) masks with A,B non-empty, one orientation each.
 
-    The orientation kept is the canonical one (weight of A above weight of B),
-    so the emitted code equals the stored code.
+    C first, then A within the rest, then B within what A leaves.  The
+    orientation kept is the canonical one (weight of A above weight of B),
+    so the emitted code equals the stored code: for disjoint sides that is
+    B lying below the highest node of A, so B is drawn only from there.
     """
-    w = _base4_weights(n)
-    for code in range(4**n):
-        am = bm = cm = 0
-        rest = code
-        pos = 0
-        while rest:
-            digit = rest & 3
-            rest >>= 2
-            if digit == 1:
-                am |= 1 << pos
-            elif digit == 2:
-                bm |= 1 << pos
-            elif digit == 3:
-                cm |= 1 << pos
-            pos += 1
-        if am and bm and w[am] > w[bm]:
-            yield am, bm, cm
+    full = (1 << n) - 1
+    for cm in range(1 << n):
+        rest = full ^ cm
+        for am in _iter_submasks(rest):
+            for bm in _iter_submasks(rest & ~am & ((1 << (am.bit_length() - 1)) - 1)):
+                yield am, bm, cm
 
 
 def model_from_elementary(
@@ -296,24 +346,52 @@ def model_from_elementary(
     <A,B|C> iff <i,j|C> for every i in A, j in B, which is exact for models
     closed under composition and decomposition (graph-induced and regular
     Gaussian models both are).
+
+    Only members are visited.  For each C, sep[i] holds the j outside C with
+    <i,j|C>; the non-empty A within V minus C are walked in increasing
+    submask order, keeping near[A] = near[A minus its lowest node] & sep[that
+    node], the nodes separated from all of A.  The members with this A and C
+    are then exactly the non-empty B within near[A] in canonical orientation
+    (below the highest node of A), and each sets its bit in one bytearray.
+    This is the same rule applied to the same triples as testing every
+    disjoint triple against every pair; only the order of work differs, so
+    the result is identical, also for input that is not compositional.
     """
     gtuple = tuple(sorted(set(ground)))
     n = len(gtuple)
-    probe = IndependenceModel(gtuple, 0)
-    mask = 0
-    for am, bm, cm in _iter_triple_masks(n):
-        ok = True
-        for i in _iter_bits(am):
-            for j in _iter_bits(bm):
-                key = (i, j) if i < j else (j, i)
-                if not (separated[key] >> cm) & 1:
-                    ok = False
-                    break
-            if not ok:
+    w = _base4_weights(n)
+    full = (1 << n) - 1
+    buf = _member_buffer(n)
+    near = [0] * (1 << n)
+    for cm in range(1 << n):
+        rest = full ^ cm
+        sep = [0] * n
+        for i in _iter_bits(rest):
+            for j in _iter_bits(rest >> (i + 1) << (i + 1)):
+                if (separated[(i, j)] >> cm) & 1:
+                    sep[i] |= 1 << j
+                    sep[j] |= 1 << i
+        near[0] = rest
+        c3 = 3 * w[cm]
+        am = 0
+        while True:
+            am = (am - rest) & rest
+            if not am:
                 break
-        if ok:
-            mask |= 1 << probe._code(am, bm, cm)
-    return IndependenceModel(gtuple, mask)
+            low = am & -am
+            common = near[am ^ low] & sep[low.bit_length() - 1]
+            near[am] = common
+            common &= (1 << (am.bit_length() - 1)) - 1
+            if common:
+                base = w[am] + c3
+                bm = 0
+                while True:
+                    bm = (bm - common) & common
+                    if not bm:
+                        break
+                    code = base + 2 * w[bm]
+                    buf[code >> 3] |= 1 << (code & 7)
+    return IndependenceModel(gtuple, _members_of(buf))
 
 
 def skeleton_pairs(model: IndependenceModel) -> frozenset[tuple[str, str]]:
@@ -324,21 +402,12 @@ def skeleton_pairs(model: IndependenceModel) -> frozenset[tuple[str, str]]:
     """
     n = model.n
     full = (1 << n) - 1
+    has = model._has
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             im, jm = 1 << i, 1 << j
-            rest = full ^ im ^ jm
-            found = False
-            cm = 0
-            while True:
-                if model._has(im, jm, cm):
-                    found = True
-                    break
-                if cm == rest:
-                    break
-                cm = (cm - rest) & rest
-            if not found:
+            if not any(has(im, jm, cm) for cm in _iter_subsets(full ^ im ^ jm)):
                 pairs.append((model.ground[i], model.ground[j]))
     return frozenset(pairs)
 
@@ -360,22 +429,19 @@ def marginalize_and_condition(
         raise ModelError(f"marginalization and conditioning sets overlap on node {shared[0]!r}")
     keep = [i for i in range(model.n) if not ((mm | cm0) >> i) & 1]
     new_ground = tuple(model.ground[i] for i in keep)
+    # lift[mask]: a mask over the new ground as a mask over the old one
+    lift = [0] * (1 << len(keep))
+    for pos, old in enumerate(keep):
+        bit = 1 << pos
+        for m in range(bit):
+            lift[m | bit] = lift[m] | (1 << old)
     out = IndependenceModel(new_ground, 0)
-    mask = 0
-    for am, bm, cmask in _iter_triple_masks(len(new_ground)):
-        old_am = _lift(am, keep)
-        old_bm = _lift(bm, keep)
-        old_cm = _lift(cmask, keep) | cm0
-        if model._has(old_am, old_bm, old_cm):
-            mask |= 1 << out._code(am, bm, cmask)
-    return IndependenceModel(new_ground, mask)
-
-
-def _lift(mask: int, keep: Sequence[int]) -> int:
-    out = 0
-    for new_pos in _iter_bits(mask):
-        out |= 1 << keep[new_pos]
-    return out
+    buf = _member_buffer(len(keep))
+    has = model._has
+    for am, bm, cmask in _iter_triple_masks(len(keep)):
+        if has(lift[am], lift[bm], lift[cmask] | cm0):
+            _set_code(buf, out._code(am, bm, cmask))
+    return IndependenceModel(new_ground, _members_of(buf))
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +510,7 @@ def _check_set_cap(model: IndependenceModel, cap: int) -> None:
 def _iter_semi_graphoid_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     # Symmetry cannot fail: storage is canonicalized over the side order.
     has = model._has
-    for code in _iter_bits(model.members):
+    for code in model._codes():
         xm, ym, cm = _decode_masks(code)
         for am, em in ((xm, ym), (ym, xm)):
             for bm in _iter_submasks(em):
@@ -462,22 +528,6 @@ def _iter_semi_graphoid_violations(model: IndependenceModel) -> Iterator[tuple[s
                     yield "contraction", _set_witness(model, "contraction", am, bm, c0, dm)
 
 
-def _decode_masks(code: int) -> tuple[int, int, int]:
-    am = bm = cm = 0
-    pos = 0
-    while code:
-        digit = code & 3
-        code >>= 2
-        if digit == 1:
-            am |= 1 << pos
-        elif digit == 2:
-            bm |= 1 << pos
-        elif digit == 3:
-            cm |= 1 << pos
-        pos += 1
-    return am, bm, cm
-
-
 def check_semi_graphoid(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_axiom_nodes) -> CheckReport:
     """Symmetry, decomposition, weak union, and contraction, exhaustively."""
     _check_set_cap(model, cap)
@@ -490,7 +540,7 @@ def check_semi_graphoid(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set
 
 def _iter_intersection_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     has = model._has
-    for code in _iter_bits(model.members):
+    for code in model._codes():
         xm, ym, cm = _decode_masks(code)
         for am, bm in ((xm, ym), (ym, xm)):
             for dm in _iter_submasks(cm):
@@ -508,7 +558,7 @@ def check_intersection(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_
 def _iter_composition_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     has = model._has
     full = (1 << model.n) - 1
-    for code in _iter_bits(model.members):
+    for code in model._codes():
         xm, ym, cm = _decode_masks(code)
         free = full ^ xm ^ ym ^ cm
         for am, bm in ((xm, ym), (ym, xm)):
@@ -533,8 +583,7 @@ def _iter_singleton_transitivity_violations(model: IndependenceModel) -> Iterato
         for j in range(i + 1, n):
             jm = 1 << j
             rest = full ^ im ^ jm
-            cm = 0
-            while True:
+            for cm in _iter_subsets(rest):
                 if has(im, jm, cm):
                     for k in _iter_bits(rest ^ cm):
                         km = 1 << k
@@ -548,9 +597,6 @@ def _iter_singleton_transitivity_violations(model: IndependenceModel) -> Iterato
                                     "C": list(_sorted_labels(model, cm)),
                                 },
                             )
-                if cm == rest:
-                    break
-                cm = (cm - rest) & rest
 
 
 def check_singleton_transitivity(
@@ -587,8 +633,7 @@ def _iter_ordered_up_violations(
             jm = 1 << j
             rest = full ^ im ^ jm
             up = leq[i] | leq[j]
-            cm = 0
-            while True:
+            for cm in _iter_subsets(rest):
                 if has(im, jm, cm):
                     for k in _iter_bits(rest ^ cm):
                         eligible = (up >> k) & 1 or (sim_col[k] & cm)
@@ -597,9 +642,6 @@ def _iter_ordered_up_violations(
                                 "ordered-upward-stability",
                                 {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
                             )
-                if cm == rest:
-                    break
-                cm = (cm - rest) & rest
 
 
 def _iter_ordered_down_violations(
@@ -616,8 +658,7 @@ def _iter_ordered_down_violations(
         for j in range(i + 1, n):
             jm = 1 << j
             rest = full ^ im ^ jm
-            cm = 0
-            while True:
+            for cm in _iter_subsets(rest):
                 if has(im, jm, cm):
                     for k in _iter_bits(cm):
                         km = 1 << k
@@ -630,9 +671,6 @@ def _iter_ordered_down_violations(
                                 "ordered-downward-stability",
                                 {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
                             )
-                if cm == rest:
-                    break
-                cm = (cm - rest) & rest
 
 
 def check_ordered_upward_stability(
@@ -763,9 +801,38 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
     in a statement; an empty file yields the empty-ground model whose only
     statements are the trivial ones.
     """
-    declared: list[str] = []
-    mentioned: set[str] = set()
-    raw: list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
+    # Labels get provisional indices in order of first appearance; each
+    # statement keeps three masks over them, remapped to the sorted ground at
+    # the end.  Overlaps are reported after every syntax error, as the first
+    # overlapping line; disjointness does not depend on the indices.
+    index: dict[str, int] = {}
+    declared: set[str] = set()
+    raw: list[int] = []  # A, B and C masks of each statement, flat
+    overlap: tuple[int, int, int, int] | None = None
+    sides: dict[str, int] = {}  # side text -> its mask; texts repeat across lines
+    givens: dict[str, int] = {}
+
+    def mask_of(labels: Iterable[str]) -> int:
+        mask = 0
+        for lab in labels:
+            k = index.get(lab)
+            if k is None:
+                k = index[lab] = len(index)
+            mask |= 1 << k
+        return mask
+
+    def side(chunk: str, lineno: int) -> int:
+        mask = sides.get(chunk)
+        if mask is None:
+            mask = sides[chunk] = mask_of(_parse_side(chunk, path, lineno))
+        return mask
+
+    def given(chunk: str) -> int:
+        mask = givens.get(chunk)
+        if mask is None:
+            mask = givens[chunk] = mask_of(tok for part in chunk.split(",") for tok in part.split())
+        return mask
+
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -776,7 +843,8 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
                 raise ParseError("expected `node LABEL`", path=path, line=lineno)
             if tokens[1] in declared:
                 raise ParseError(f"duplicate node declaration {tokens[1]!r}", path=path, line=lineno)
-            declared.append(tokens[1])
+            declared.add(tokens[1])
+            mask_of((tokens[1],))
             continue
         if SEPARATOR not in body:
             raise ParseError(f"expected a statement containing {SEPARATOR!r}", path=path, line=lineno)
@@ -785,26 +853,35 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
             b_part, c_part = right.split("|", 1)
         else:
             b_part, c_part = right, ""
-        a = _parse_side(left, path, lineno)
-        b = _parse_side(b_part, path, lineno)
-        c = tuple(tok for chunk in c_part.split(",") for tok in chunk.split())
-        if not a or not b:
+        am, bm, cm = side(left, lineno), side(b_part, lineno), given(c_part)
+        if not am or not bm:
             raise ParseError("both sides of a statement must be non-empty", path=path, line=lineno)
-        raw.append((lineno, a, b, c))
-        mentioned.update(a)
-        mentioned.update(b)
-        mentioned.update(c)
-    ground = sorted(set(declared) | mentioned)
-    model = IndependenceModel(tuple(ground), 0)
-    mask = 0
-    for lineno, a, b, c in raw:
+        if overlap is None and (am & bm) | (am & cm) | (bm & cm):
+            overlap = (lineno, am, bm, cm)
+        raw += (am, bm, cm)
+    ground = tuple(sorted(index))
+    position = {lab: i for i, lab in enumerate(ground)}
+    moved = [1 << position[lab] for lab in index]
+    remapped = {0: 0}
+
+    def remap(mask: int) -> int:
+        out = remapped.get(mask)
+        if out is None:
+            out = remapped[mask] = sum(moved[k] for k in _iter_bits(mask))
+        return out
+
+    model = IndependenceModel(ground, 0)
+    if overlap is not None:
+        lineno, am, bm, cm = overlap
         try:
-            am, bm, cm = model._mask_of(a), model._mask_of(b), model._mask_of(c)
-            _require_disjoint_masks(model, am, bm, cm)
+            _require_disjoint_masks(model, remap(am), remap(bm), remap(cm))
         except ModelError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
-        mask |= 1 << model._code(am, bm, cm)
-    return IndependenceModel(tuple(ground), mask)
+    buf = bytearray()
+    code = model._code
+    for k in range(0, len(raw), 3):
+        _set_code(buf, code(remap(raw[k]), remap(raw[k + 1]), remap(raw[k + 2])))
+    return IndependenceModel(ground, _members_of(buf))
 
 
 def _parse_side(chunk: str, path: str | None, lineno: int) -> tuple[str, ...]:
@@ -817,16 +894,26 @@ def _parse_side(chunk: str, path: str | None, lineno: int) -> tuple[str, ...]:
 
 def model_to_text(model: IndependenceModel) -> str:
     """Serialize; `node` lines appear only for labels in no statement."""
+    ground = model.ground
+    names: dict[int, tuple[str, ...]] = {}  # mask -> its labels, sorted as the ground is
+
+    def labels(mask: int) -> tuple[str, ...]:
+        out = names.get(mask)
+        if out is None:
+            out = names[mask] = tuple(ground[i] for i in _iter_bits(mask))
+        return out
+
     lines = []
-    used: set[str] = set()
-    for a, b, c in model.statements():
-        a_s, b_s, c_s = sorted(a), sorted(b), sorted(c)
+    used = 0
+    for code in model._codes():
+        am, bm, cm = _decode_masks(code)
+        a_s, b_s = labels(am), labels(bm)
         if b_s < a_s:
             a_s, b_s = b_s, a_s
         stmt = f"{','.join(a_s)} {SEPARATOR} {','.join(b_s)}"
-        if c_s:
-            stmt += f" | {' '.join(c_s)}"
+        if cm:
+            stmt += f" | {' '.join(labels(cm))}"
         lines.append(stmt)
-        used.update(a_s, b_s, c_s)
-    node_lines = [f"node {lab}" for lab in model.ground if lab not in used]
+        used |= am | bm | cm
+    node_lines = [f"node {lab}" for i, lab in enumerate(ground) if not (used >> i) & 1]
     return "\n".join(node_lines + sorted(lines)) + ("\n" if node_lines or lines else "")

@@ -20,9 +20,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphError, ParseError, PreorderError
-from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line
+from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line, model_skeleton
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, skeleton_pairs
+from .models import IndependenceModel, _iter_bits, skeleton_pairs
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class Preorder:
                 raise PreorderError(f"relation is not reflexive: missing {self.ground[i]!r} <= {self.ground[i]!r}")
         for i in range(n):
             reach = rows[i]
-            for j in list(_bits(reach)):
+            for j in list(_iter_bits(reach)):
                 if rows[j] & ~reach:
-                    k = next(_bits(rows[j] & ~reach))
+                    k = next(_iter_bits(rows[j] & ~reach))
                     raise PreorderError(
                         "relation is not transitive: "
                         f"{self.ground[i]!r} <= {self.ground[j]!r} <= {self.ground[k]!r} "
@@ -143,7 +143,7 @@ class Preorder:
         for i in range(len(self.ground)):
             if i in seen:
                 continue
-            members = sorted(_bits(self._sim_cols[i]))
+            members = sorted(_iter_bits(self._sim_cols[i]))
             seen.update(members)
             out.append(tuple(self.ground[m] for m in members))
         return tuple(out)
@@ -161,13 +161,6 @@ class Preorder:
         order = QuotientOrder(classes, frozenset(below))
         order.validate()
         return order
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -280,15 +273,8 @@ def is_compatible(p: Preorder, model: IndependenceModel) -> bool:
         raise PreorderError(
             f"preorder ground {sorted(p.ground)} does not match model ground {list(model.ground)}"
         )
-    directed = direct_skeleton(_skeleton_graph(model), p)
+    directed = direct_skeleton(model_skeleton(model), p)
     return minimal_preorder(directed) == p
-
-
-def _skeleton_graph(model: IndependenceModel) -> MixedGraph:
-    return MixedGraph(
-        frozenset(model.ground),
-        tuple(line(u, v) for u, v in sorted(skeleton_pairs(model))),
-    )
 
 
 _EDGE_OPTIONS = (LINE, ARROW, "<-", ARC)

@@ -15,7 +15,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line
-from graphfaith.models import IndependenceModel, _iter_triple_masks, skeleton_pairs
+from graphfaith.models import IndependenceModel, _base4_weights, _iter_bits, skeleton_pairs
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, derandomize=True, deadline=None
@@ -100,7 +100,7 @@ def small_models(draw, min_nodes=2, max_nodes=4):
     n = draw(st.integers(min_nodes, max_nodes))
     ground = LABELS[:n]
     probe = IndependenceModel(tuple(ground), 0)
-    codes = [probe._code(am, bm, cm) for am, bm, cm in _iter_triple_masks(n)]
+    codes = [probe._code(am, bm, cm) for am, bm, cm in reference_triple_masks(n)]
     mask = 0
     for code in codes:
         if draw(st.booleans()):
@@ -217,7 +217,7 @@ def semi_graphoid_closure(model: IndependenceModel) -> IndependenceModel:
     n = model.n
     probe = model
     mask = model.members
-    triples = list(_iter_triple_masks(n))
+    triples = list(reference_triple_masks(n))
     changed = True
     while changed:
         changed = False
@@ -295,3 +295,41 @@ def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
         if g.semi_directed_cycle() is None and g.violating_arc() is None:
             kept.append(g)
     return kept
+
+
+def reference_triple_masks(n):
+    """The triple generator by decoding every base-4 code below 4^n, in code
+    order: all disjoint (A, B, C) with A, B non-empty, canonical side order."""
+    w = _base4_weights(n)
+    for code in range(4**n):
+        am = bm = cm = 0
+        rest = code
+        pos = 0
+        while rest:
+            digit = rest & 3
+            rest >>= 2
+            if digit == 1:
+                am |= 1 << pos
+            elif digit == 2:
+                bm |= 1 << pos
+            elif digit == 3:
+                cm |= 1 << pos
+            pos += 1
+        if am and bm and w[am] > w[bm]:
+            yield am, bm, cm
+
+
+def reference_model_from_elementary(ground, separated):
+    """model_from_elementary by testing every triple of the 4^n codes: <A,B|C>
+    is a member iff <i,j|C> holds for every i in A and j in B."""
+    gtuple = tuple(sorted(set(ground)))
+    probe = IndependenceModel(gtuple, 0)
+    mask = 0
+    for am, bm, cm in reference_triple_masks(len(gtuple)):
+        if all(
+            (separated[(min(i, j), max(i, j))] >> cm) & 1
+            for i in _iter_bits(am)
+            for j in _iter_bits(bm)
+        ):
+            mask |= 1 << probe._code(am, bm, cm)
+    return IndependenceModel(gtuple, mask)

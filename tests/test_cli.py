@@ -218,9 +218,11 @@ def test_version_flag(capsys):
     assert "graphfaith" in capsys.readouterr().out
 
 
-def test_seed_flag_accepted(files, capsys):
-    code, _, _ = invoke(capsys, "classify", "--graph", files["coll.graph"], "--seed", "7")
-    assert code == 0
+def test_seed_flag_rejected(files, capsys):
+    # --seed is not an option of any verb: passing it is a usage error
+    code, _, err = invoke(capsys, "classify", "--graph", files["coll.graph"], "--seed", "7")
+    assert code == 2
+    assert "--seed" in err
 
 
 def test_json_flag_never_changes_exit_code(files, capsys):

@@ -14,6 +14,7 @@ from graphfaith.graphs import (
     induced_model,
     line,
     markov_equivalent,
+    model_skeleton,
     parse_graph_text,
 )
 from graphfaith.faithfulness import (
@@ -22,7 +23,6 @@ from graphfaith.faithfulness import (
     is_markov,
     is_minimally_markov,
     is_pairwise_markov,
-    model_skeleton,
     pairwise_conditioning_set,
     restricted_graphical,
 )

@@ -1,12 +1,14 @@
 """Graph construction, anteriors, classification, separation, induced models."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphfaith.errors import GraphError, ParseError
+from graphfaith.generate import random_anterial_graph, random_mixed_graph
 from graphfaith.graphs import (
     ARC,
     MixedGraph,
@@ -315,6 +317,10 @@ def test_induced_elementary_route_matches_direct(graph):
 
 def test_induced_cross_check_flag():
     induced_model(g("a -> b\nb -- c\nd -> c"), cross_check=True)
+    for seed in range(4):  # five nodes, one more than the property test above
+        rng = random.Random(seed)
+        induced_model(random_anterial_graph(rng, tuple("abcde"), edge_prob=0.5), cross_check=True)
+        induced_model(random_mixed_graph(rng, tuple("abcde"), edge_prob=0.5), cross_check=True)
 
 
 # -- skeleton and equivalence ----------------------------------------------------
