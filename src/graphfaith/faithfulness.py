@@ -9,7 +9,7 @@ edges never removes either failure, so no anterial directing is lost.  Each
 candidate is screened by the compatible-preorder stability conditions
 (necessary, and cheap) and then confirmed by direct model equality (the
 confirmation is load-bearing: the screen alone over-accepts on some
-anterial-but-not-ancestral directings; see _scan_candidates).  The
+anterial-but-not-ancestral directings; see _search).  The
 confirmed witnesses are exactly the minimally-Markov members of the model's
 Markov equivalence class.
 """
@@ -17,13 +17,12 @@ Markov equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import GraphError, InternalCheckError, ModelError
 from .graphs import ARC, LINE, MixedGraph, arc, induced_model, line
 from .limits import DEFAULT_CAPS
 from .models import (
-    CheckReport,
     IndependenceModel,
     _stabilities_hold,
     check_composition,
@@ -35,7 +34,7 @@ from .models import (
     skeleton_pairs,
 )
 # minimal_preorder stays bound here: perfbench's tracer wraps faithfulness.minimal_preorder.
-from .preorders import Directing, _iter_anterial_directings, minimal_preorder  # noqa: F401
+from .preorders import _iter_anterial_directings, minimal_preorder  # noqa: F401
 
 
 def pairwise_conditioning_set(g: MixedGraph, i: str, j: str) -> frozenset[str]:
@@ -128,32 +127,41 @@ class FaithfulnessVerdict:
         }
 
 
-def _failure_from_report(report: CheckReport) -> Failure:
-    witness = report.violations[0] if report.violations else None
-    return Failure(report.property_name, witness)
+def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
+    """Run the conditions of one graph class in order; the first failure wins.
 
-
-def _axiom_gate(
-    model: IndependenceModel,
-    checks: Iterable,
-) -> Failure | None:
-    for check in checks:
-        report = check(model)
+    Every class needs a singleton-transitive semi-graphoid; UG adds
+    intersection and upward stability, BG composition and downward
+    stability, and DAG and AnG both intersection and composition.  The
+    checks are looked up here, at call time, so a wrapper set on this
+    module's `check_*` names sees every call.
+    """
+    set_cap, elementary_cap = caps.set_axiom_nodes, caps.elementary_axiom_nodes
+    checks = [(check_semi_graphoid, set_cap)]
+    if kind != "BG":
+        checks.append((check_intersection, set_cap))
+    if kind != "UG":
+        checks.append((check_composition, set_cap))
+    checks.append((check_singleton_transitivity, elementary_cap))
+    if kind == "UG":
+        checks.append((check_upward_stability, elementary_cap))
+    elif kind == "BG":
+        checks.append((check_downward_stability, elementary_cap))
+    for check, cap in checks:
+        report = check(model, cap=cap)
         if not report.passed:
-            return _failure_from_report(report)
+            return Failure(report.property_name, report.violations[0] if report.violations else None)
     return None
 
 
-def _scan_candidates(
-    model: IndependenceModel,
-    candidates: Iterable[Directing],
-    model_cap: int,
-) -> tuple[list[MixedGraph], int, int]:
-    """Keep the candidates that pass the stability screen *and* direct
-    faithfulness verification; also count the candidates and screen passes.
+def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
+    """The directing search behind AnG (every anterial directing of the
+    skeleton) and DAG (only the arrow-only ones).
 
-    The stability screen is necessary (a faithful graph always satisfies both
-    ordered stabilities w.r.t. its minimal preorder) but not sufficient: on
+    Each candidate is screened by both ordered stabilities of its minimal
+    preorder and, when it passes, verified by direct model equality.  The
+    screen is necessary (a faithful graph always satisfies both ordered
+    stabilities w.r.t. its minimal preorder) but not sufficient: on
     anterial graphs that are not ancestral, a connecting walk may have to
     revisit a node, and such a directing can pass the screen without being
     faithful.  The smallest case found: for the model of the undirected
@@ -162,10 +170,17 @@ def _scan_candidates(
     {a,b}, so its induced model is strictly smaller.  Verification therefore
     filters rather than asserts.  Only screen passes are built as graphs.
     """
+    failure = _gate_failure(model, kind, caps)
+    if failure is not None:
+        return FaithfulnessVerdict(False, (), failure)
+    model_cap = max(caps.model_nodes, model.n)
+    arrows_only = kind == "DAG"
     witnesses: list[MixedGraph] = []
     tried = 0
     screened = 0
-    for directing in candidates:
+    for directing in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges):
+        if arrows_only and (LINE in directing.choices or ARC in directing.choices):
+            continue
         tried += 1
         if not _stabilities_hold(model, directing.preorder):
             continue
@@ -173,7 +188,11 @@ def _scan_candidates(
         g = directing.graph()
         if is_faithful(model, g, cap=model_cap):
             witnesses.append(g)
-    return witnesses, tried, screened
+    if witnesses:
+        return FaithfulnessVerdict(True, tuple(witnesses), None)
+    property_name = "compatible-order-search" if arrows_only else "compatible-preorder-search"
+    counts = {"dags_tried" if arrows_only else "directings_tried": tried, "stability_passing": screened}
+    return FaithfulnessVerdict(False, (), Failure(property_name, counts))
 
 
 def decide_graphical(
@@ -189,38 +208,13 @@ def decide_graphical(
     the pruned depth-first search yields it: its minimal preorder is
     compatible by construction, and the directing is a witness when both
     ordered stabilities hold and direct verification confirms faithfulness
-    (see _scan_candidates for why the second step is load-bearing).
+    (see _search for why the second step is load-bearing).
     Exact either way: a faithful graph must have the model's skeleton, must
     be anterial (pruning drops only prefixes whose every completion is not)
     and must pass the stability screen, so the sweep sees every possible
     witness.  Candidates are streamed, never held in a list.
     """
-    failure = _axiom_gate(
-        model,
-        (
-            lambda m: check_semi_graphoid(m, cap=caps.set_axiom_nodes),
-            lambda m: check_intersection(m, cap=caps.set_axiom_nodes),
-            lambda m: check_composition(m, cap=caps.set_axiom_nodes),
-            lambda m: check_singleton_transitivity(m, cap=caps.elementary_axiom_nodes),
-        ),
-    )
-    if failure is not None:
-        return FaithfulnessVerdict(False, (), failure)
-    witnesses, tried, screened = _scan_candidates(
-        model,
-        _iter_anterial_directings(model, edge_cap=caps.skeleton_edges),
-        max(caps.model_nodes, model.n),
-    )
-    if witnesses:
-        return FaithfulnessVerdict(True, tuple(witnesses), None)
-    return FaithfulnessVerdict(
-        False,
-        (),
-        Failure(
-            "compatible-preorder-search",
-            {"directings_tried": tried, "stability_passing": screened},
-        ),
-    )
+    return _search(model, "AnG", caps)
 
 
 def restricted_graphical(
@@ -240,106 +234,37 @@ def restricted_graphical(
     kind = class_filter.strip().upper()
     if kind == "ANG":
         return decide_graphical(model, caps=caps)
-    if kind == "UG":
-        return _restricted_ug(model, caps)
-    if kind == "BG":
-        return _restricted_bg(model, caps)
+    if kind in ("UG", "BG"):
+        return _closed_form(model, kind, caps)
     if kind == "DAG":
-        return _restricted_dag(model, caps)
+        return _search(model, kind, caps)
     raise ModelError(f"unknown class filter {class_filter!r}; expected UG, BG, DAG, or AnG")
 
 
-def _pairwise_ug_graph(model: IndependenceModel) -> MixedGraph:
-    """Edge wherever conditioning on everything else fails to separate."""
-    nodes = model.ground
+def _pairwise_graph(model: IndependenceModel, kind: str) -> MixedGraph:
+    """UG: a line wherever conditioning on everything else fails to separate.
+    BG: an arc wherever the marginal independence is missing."""
+    g = model.ground
+    full = (1 << model.n) - 1
     edges = []
-    for x, i in enumerate(nodes):
-        for j in nodes[x + 1 :]:
-            rest = set(nodes) - {i, j}
-            if not model.contains({i}, {j}, rest):
-                edges.append(line(i, j))
-    return MixedGraph(frozenset(nodes), tuple(edges))
+    for (i, j), row in model._elementary.items():
+        cm = full ^ (1 << i) ^ (1 << j) if kind == "UG" else 0
+        if not (row >> cm) & 1:
+            edges.append(line(g[i], g[j]) if kind == "UG" else arc(g[i], g[j]))
+    return MixedGraph(frozenset(g), tuple(edges))
 
 
-def _pairwise_bg_graph(model: IndependenceModel) -> MixedGraph:
-    """Arc wherever the marginal independence is missing."""
-    nodes = model.ground
-    edges = []
-    for x, i in enumerate(nodes):
-        for j in nodes[x + 1 :]:
-            if not model.contains({i}, {j}, ()):
-                edges.append(arc(i, j))
-    return MixedGraph(frozenset(nodes), tuple(edges))
-
-
-def _restricted_ug(model: IndependenceModel, caps) -> FaithfulnessVerdict:
-    failure = _axiom_gate(
-        model,
-        (
-            lambda m: check_semi_graphoid(m, cap=caps.set_axiom_nodes),
-            lambda m: check_intersection(m, cap=caps.set_axiom_nodes),
-            lambda m: check_singleton_transitivity(m, cap=caps.elementary_axiom_nodes),
-            lambda m: check_upward_stability(m, cap=caps.elementary_axiom_nodes),
-        ),
-    )
+def _closed_form(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
+    failure = _gate_failure(model, kind, caps)
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
-    candidate = _pairwise_ug_graph(model)
+    name, stability = ("undirected", "upward") if kind == "UG" else ("bidirected", "downward")
+    candidate = _pairwise_graph(model, kind)
     if candidate.adjacent_pairs != skeleton_pairs(model):
         raise InternalCheckError(
-            "pairwise-constructed undirected graph disagrees with the model skeleton "
-            "despite upward-stability"
+            f"pairwise-constructed {name} graph disagrees with the model skeleton "
+            f"despite {stability}-stability"
         )
     if not is_faithful(model, candidate, cap=max(caps.model_nodes, model.n)):
-        raise InternalCheckError("undirected candidate passed the UG conditions but is not faithful")
+        raise InternalCheckError(f"{name} candidate passed the {kind} conditions but is not faithful")
     return FaithfulnessVerdict(True, (candidate,), None)
-
-
-def _restricted_bg(model: IndependenceModel, caps) -> FaithfulnessVerdict:
-    failure = _axiom_gate(
-        model,
-        (
-            lambda m: check_semi_graphoid(m, cap=caps.set_axiom_nodes),
-            lambda m: check_composition(m, cap=caps.set_axiom_nodes),
-            lambda m: check_singleton_transitivity(m, cap=caps.elementary_axiom_nodes),
-            lambda m: check_downward_stability(m, cap=caps.elementary_axiom_nodes),
-        ),
-    )
-    if failure is not None:
-        return FaithfulnessVerdict(False, (), failure)
-    candidate = _pairwise_bg_graph(model)
-    if candidate.adjacent_pairs != skeleton_pairs(model):
-        raise InternalCheckError(
-            "pairwise-constructed bidirected graph disagrees with the model skeleton "
-            "despite downward-stability"
-        )
-    if not is_faithful(model, candidate, cap=max(caps.model_nodes, model.n)):
-        raise InternalCheckError("bidirected candidate passed the BG conditions but is not faithful")
-    return FaithfulnessVerdict(True, (candidate,), None)
-
-
-def _restricted_dag(model: IndependenceModel, caps) -> FaithfulnessVerdict:
-    failure = _axiom_gate(
-        model,
-        (
-            lambda m: check_semi_graphoid(m, cap=caps.set_axiom_nodes),
-            lambda m: check_intersection(m, cap=caps.set_axiom_nodes),
-            lambda m: check_composition(m, cap=caps.set_axiom_nodes),
-            lambda m: check_singleton_transitivity(m, cap=caps.elementary_axiom_nodes),
-        ),
-    )
-    if failure is not None:
-        return FaithfulnessVerdict(False, (), failure)
-    dags = (
-        d
-        for d in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges)
-        if LINE not in d.choices and ARC not in d.choices
-    )
-    witnesses, tried, screened = _scan_candidates(model, dags, max(caps.model_nodes, model.n))
-    if witnesses:
-        return FaithfulnessVerdict(True, tuple(witnesses), None)
-    return FaithfulnessVerdict(
-        False,
-        (),
-        Failure("compatible-order-search", {"dags_tried": tried, "stability_passing": screened}),
-    )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import MatrixError, ParseError
 from .graphs import LINE, MixedGraph
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, _iter_bits, _iter_subsets, model_from_elementary
+from .models import IndependenceModel, _iter_bits, elementary_table, model_from_elementary
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,15 @@ def partial_covariance(m: RationalMatrix, i: int, j: int, given: Sequence[int]) 
     return acc
 
 
+def _require_positive_definite(m: RationalMatrix, role: str) -> None:
+    """Raise naming the first leading principal minor that is not positive."""
+    for k, minor in enumerate(leading_principal_minors(m)):
+        if minor <= 0:
+            raise MatrixError(
+                f"{role} is not positive definite: leading principal minor {k + 1} is {minor}"
+            )
+
+
 def model_from_covariance(
     sigma: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes
 ) -> IndependenceModel:
@@ -192,33 +201,28 @@ def model_from_covariance(
         raise MatrixError(
             f"covariance must be symmetric; entries ({sigma.labels[bad[0]]},{sigma.labels[bad[1]]}) differ"
         )
-    for k, minor in enumerate(leading_principal_minors(sigma)):
-        if minor <= 0:
-            raise MatrixError(
-                f"covariance is not positive definite: leading principal minor {k + 1} is {minor}"
-            )
+    _require_positive_definite(sigma, "covariance")
     order = sorted(range(sigma.n), key=lambda r: sigma.labels[r])
     ground = tuple(sigma.labels[r] for r in order)
-    n = sigma.n
-    full = (1 << n) - 1
-    elem: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = order[a], order[b]
-            bits = 0
-            for cm in _iter_subsets(full ^ (1 << a) ^ (1 << b)):
-                if partial_covariance(sigma, i, j, [order[k] for k in _iter_bits(cm)]) == 0:
-                    bits |= 1 << cm
-            elem[(a, b)] = bits
-    return model_from_elementary(ground, elem)
+
+    def holds(a: int, b: int, cm: int) -> bool:
+        return partial_covariance(sigma, order[a], order[b], [order[k] for k in _iter_bits(cm)]) == 0
+
+    return model_from_elementary(ground, elementary_table(sigma.n, holds))
 
 
 def model_from_concentration(
     k_matrix: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes
 ) -> IndependenceModel:
-    """Same, with the matrix read as a concentration (inverse covariance)."""
+    """Same, with the matrix read as a concentration (inverse covariance).
+
+    K is checked before it is inverted: it is positive definite exactly when
+    its inverse is, and an error should name the matrix the caller gave."""
     if not k_matrix.is_symmetric():
         raise MatrixError("concentration matrix must be symmetric")
+    if k_matrix.n > cap:
+        raise MatrixError(f"matrix has {k_matrix.n} rows, above the cap {cap}")
+    _require_positive_definite(k_matrix, "concentration")
     return model_from_covariance(inverse(k_matrix), cap=cap)
 
 

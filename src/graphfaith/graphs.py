@@ -20,11 +20,11 @@ from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
     _iter_bits,
-    _iter_subsets,
     _iter_triple_masks,
     _member_buffer,
     _members_of,
     _set_code,
+    elementary_table,
     model_from_elementary,
     skeleton_pairs,
 )
@@ -529,18 +529,13 @@ def _is_maximal(g: MixedGraph) -> bool:
 def _induced_model_cached(g: MixedGraph, via_elementary: bool) -> IndependenceModel:
     ground = tuple(sorted(g.nodes))
     n = len(ground)
-    full = (1 << n) - 1
     labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << n)]
     if via_elementary:
-        elem: dict[tuple[int, int], int] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                bits = 0
-                for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
-                    if separates(g, labels[1 << i], labels[1 << j], labels[cm]):
-                        bits |= 1 << cm
-                elem[(i, j)] = bits
-        return model_from_elementary(ground, elem)
+
+        def holds(i: int, j: int, cm: int) -> bool:
+            return separates(g, labels[1 << i], labels[1 << j], labels[cm])
+
+        return model_from_elementary(ground, elementary_table(n, holds))
     probe = IndependenceModel(ground, 0)
     buf = _member_buffer(n)
     for am, bm, cm in _iter_triple_masks(n):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ModelError, ParseError
 from .limits import DEFAULT_CAPS, require_within
@@ -187,6 +187,13 @@ class IndependenceModel:
                     yield base | b
 
     @cached_property
+    def _elementary(self) -> dict[tuple[int, int], int]:
+        """The elementary statements, one row per pair i < j: bit C of the
+        row is set when <i,j|C> is a member.  The mapping that
+        `model_from_elementary` takes."""
+        return elementary_table(self.n, lambda i, j, cm: self._has(1 << i, 1 << j, cm))
+
+    @cached_property
     def _stability_table(self) -> tuple[tuple[int, int, int, int, tuple, tuple], ...]:
         """What the ordered stabilities of any preorder can trip on.
 
@@ -196,34 +203,28 @@ class IndependenceModel:
         `downs` holds (C, down) with down the k in C whose removal does;
         empty masks are left out.  up_any and down_any are their unions.
         """
-        n = self.n
-        full = (1 << n) - 1
-        has = self._has
+        full = (1 << self.n) - 1
         table = []
-        for i in range(n):
-            im = 1 << i
-            for j in range(i + 1, n):
-                jm = 1 << j
-                rest = full ^ im ^ jm
-                ups, downs = [], []
-                up_any = down_any = 0
-                for cm in _iter_subsets(rest):
-                    if has(im, jm, cm):
-                        up = down = 0
-                        for k in _iter_bits(rest ^ cm):
-                            if not has(im, jm, cm | (1 << k)):
-                                up |= 1 << k
-                        for k in _iter_bits(cm):
-                            if not has(im, jm, cm ^ (1 << k)):
-                                down |= 1 << k
-                        if up:
-                            ups.append((cm, up))
-                            up_any |= up
-                        if down:
-                            downs.append((cm, down))
-                            down_any |= down
-                if up_any or down_any:
-                    table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
+        for (i, j), row in self._elementary.items():
+            rest = full ^ (1 << i) ^ (1 << j)
+            ups, downs = [], []
+            up_any = down_any = 0
+            for cm in _iter_bits(row):
+                up = down = 0
+                for k in _iter_bits(rest ^ cm):
+                    if not (row >> (cm | (1 << k))) & 1:
+                        up |= 1 << k
+                for k in _iter_bits(cm):
+                    if not (row >> (cm ^ (1 << k))) & 1:
+                        down |= 1 << k
+                if up:
+                    ups.append((cm, up))
+                    up_any |= up
+                if down:
+                    downs.append((cm, down))
+                    down_any |= down
+            if up_any or down_any:
+                table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
         return tuple(table)
 
     # -- construction --------------------------------------------------
@@ -335,6 +336,21 @@ def _iter_triple_masks(n: int) -> Iterator[tuple[int, int, int]]:
                 yield am, bm, cm
 
 
+def elementary_table(n: int, holds: Callable[[int, int, int], bool]) -> dict[tuple[int, int], int]:
+    """{(i, j): the bitmask over conditioning masks C with holds(i, j, C)},
+    for every pair i < j of n nodes and every C avoiding both."""
+    full = (1 << n) - 1
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = 0
+            for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
+                if holds(i, j, cm):
+                    row |= 1 << cm
+            table[(i, j)] = row
+    return table
+
+
 def model_from_elementary(
     ground: Sequence[str],
     separated: Mapping[tuple[int, int], int],
@@ -400,16 +416,8 @@ def skeleton_pairs(model: IndependenceModel) -> frozenset[tuple[str, str]]:
     These are the edges of the model's skeleton: an edge is drawn exactly when
     no C with <i,j|C> in the model exists.
     """
-    n = model.n
-    full = (1 << n) - 1
-    has = model._has
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            im, jm = 1 << i, 1 << j
-            if not any(has(im, jm, cm) for cm in _iter_subsets(full ^ im ^ jm)):
-                pairs.append((model.ground[i], model.ground[j]))
-    return frozenset(pairs)
+    g = model.ground
+    return frozenset((g[i], g[j]) for (i, j), row in model._elementary.items() if not row)
 
 
 def marginalize_and_condition(
@@ -574,29 +582,27 @@ def check_composition(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_a
 
 
 def _iter_singleton_transitivity_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
-    n = model.n
-    full = (1 << n) - 1
-    has = model._has
+    full = (1 << model.n) - 1
+    table = model._elementary
     g = model.ground
-    for i in range(n):
-        im = 1 << i
-        for j in range(i + 1, n):
-            jm = 1 << j
-            rest = full ^ im ^ jm
-            for cm in _iter_subsets(rest):
-                if has(im, jm, cm):
-                    for k in _iter_bits(rest ^ cm):
-                        km = 1 << k
-                        if has(im, jm, cm | km) and not (has(im, km, cm) or has(jm, km, cm)):
-                            yield (
-                                "singleton-transitivity",
-                                {
-                                    "i": g[i],
-                                    "j": g[j],
-                                    "k": g[k],
-                                    "C": list(_sorted_labels(model, cm)),
-                                },
-                            )
+
+    def holds(a: int, b: int, cm: int) -> int:
+        return (table[(a, b) if a < b else (b, a)] >> cm) & 1
+
+    for (i, j), row in table.items():
+        rest = full ^ (1 << i) ^ (1 << j)
+        for cm in _iter_bits(row):
+            for k in _iter_bits(rest ^ cm):
+                if (row >> (cm | (1 << k))) & 1 and not (holds(i, k, cm) or holds(j, k, cm)):
+                    yield (
+                        "singleton-transitivity",
+                        {
+                            "i": g[i],
+                            "j": g[j],
+                            "k": g[k],
+                            "C": list(_sorted_labels(model, cm)),
+                        },
+                    )
 
 
 def check_singleton_transitivity(
@@ -621,56 +627,42 @@ def _require_same_ground(model: IndependenceModel, preorder: "Preorder") -> None
 def _iter_ordered_up_violations(
     model: IndependenceModel, preorder: "Preorder"
 ) -> Iterator[tuple[str, Witness]]:
-    n = model.n
-    full = (1 << n) - 1
-    has = model._has
+    full = (1 << model.n) - 1
     g = model.ground
     leq = preorder.leq_rows
     sim_col = preorder._sim_cols
-    for i in range(n):
-        im = 1 << i
-        for j in range(i + 1, n):
-            jm = 1 << j
-            rest = full ^ im ^ jm
-            up = leq[i] | leq[j]
-            for cm in _iter_subsets(rest):
-                if has(im, jm, cm):
-                    for k in _iter_bits(rest ^ cm):
-                        eligible = (up >> k) & 1 or (sim_col[k] & cm)
-                        if eligible and not has(im, jm, cm | (1 << k)):
-                            yield (
-                                "ordered-upward-stability",
-                                {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
-                            )
+    for (i, j), row in model._elementary.items():
+        rest = full ^ (1 << i) ^ (1 << j)
+        up = leq[i] | leq[j]
+        for cm in _iter_bits(row):
+            for k in _iter_bits(rest ^ cm):
+                eligible = (up >> k) & 1 or (sim_col[k] & cm)
+                if eligible and not (row >> (cm | (1 << k))) & 1:
+                    yield (
+                        "ordered-upward-stability",
+                        {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
+                    )
 
 
 def _iter_ordered_down_violations(
     model: IndependenceModel, preorder: "Preorder"
 ) -> Iterator[tuple[str, Witness]]:
-    n = model.n
-    full = (1 << n) - 1
-    has = model._has
     g = model.ground
     leq = preorder.leq_rows
     lt_col = preorder._lt_cols
-    for i in range(n):
-        im = 1 << i
-        for j in range(i + 1, n):
-            jm = 1 << j
-            rest = full ^ im ^ jm
-            for cm in _iter_subsets(rest):
-                if has(im, jm, cm):
-                    for k in _iter_bits(cm):
-                        km = 1 << k
-                        if (leq[i] >> k) & 1 or (leq[j] >> k) & 1:
-                            continue
-                        if lt_col[k] & (cm ^ km):
-                            continue
-                        if not has(im, jm, cm ^ km):
-                            yield (
-                                "ordered-downward-stability",
-                                {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
-                            )
+    for (i, j), row in model._elementary.items():
+        for cm in _iter_bits(row):
+            for k in _iter_bits(cm):
+                km = 1 << k
+                if (leq[i] >> k) & 1 or (leq[j] >> k) & 1:
+                    continue
+                if lt_col[k] & (cm ^ km):
+                    continue
+                if not (row >> (cm ^ km)) & 1:
+                    yield (
+                        "ordered-downward-stability",
+                        {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
+                    )
 
 
 def check_ordered_upward_stability(

@@ -15,7 +15,14 @@ import hypothesis
 from hypothesis import strategies as st
 
 from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line
-from graphfaith.models import IndependenceModel, _base4_weights, _iter_bits, skeleton_pairs
+from graphfaith.models import (
+    IndependenceModel,
+    _base4_weights,
+    _iter_bits,
+    _iter_subsets,
+    _sorted_labels,
+    skeleton_pairs,
+)
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, derandomize=True, deadline=None
@@ -333,3 +340,79 @@ def reference_model_from_elementary(ground, separated):
         ):
             mask |= 1 << probe._code(am, bm, cm)
     return IndependenceModel(gtuple, mask)
+
+
+def reference_singleton_transitivity_violations(model: IndependenceModel):
+    """The singleton-transitivity scan by membership lookups: for every pair
+    i < j, every C with <i,j|C> and every k outside, in that order."""
+    n = model.n
+    full = (1 << n) - 1
+    has = model._has
+    g = model.ground
+    for i in range(n):
+        im = 1 << i
+        for j in range(i + 1, n):
+            jm = 1 << j
+            rest = full ^ im ^ jm
+            for cm in _iter_subsets(rest):
+                if has(im, jm, cm):
+                    for k in _iter_bits(rest ^ cm):
+                        km = 1 << k
+                        if has(im, jm, cm | km) and not (has(im, km, cm) or has(jm, km, cm)):
+                            yield (
+                                "singleton-transitivity",
+                                {"i": g[i], "j": g[j], "k": g[k], "C": list(_sorted_labels(model, cm))},
+                            )
+
+
+def reference_ordered_up_violations(model: IndependenceModel, preorder):
+    """Ordered upward stability by membership lookups, in the scan order above."""
+    n = model.n
+    full = (1 << n) - 1
+    has = model._has
+    g = model.ground
+    leq = preorder.leq_rows
+    sim_col = preorder._sim_cols
+    for i in range(n):
+        im = 1 << i
+        for j in range(i + 1, n):
+            jm = 1 << j
+            rest = full ^ im ^ jm
+            up = leq[i] | leq[j]
+            for cm in _iter_subsets(rest):
+                if has(im, jm, cm):
+                    for k in _iter_bits(rest ^ cm):
+                        eligible = (up >> k) & 1 or (sim_col[k] & cm)
+                        if eligible and not has(im, jm, cm | (1 << k)):
+                            yield (
+                                "ordered-upward-stability",
+                                {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
+                            )
+
+
+def reference_ordered_down_violations(model: IndependenceModel, preorder):
+    """Ordered downward stability by membership lookups, in the scan order above."""
+    n = model.n
+    full = (1 << n) - 1
+    has = model._has
+    g = model.ground
+    leq = preorder.leq_rows
+    lt_col = preorder._lt_cols
+    for i in range(n):
+        im = 1 << i
+        for j in range(i + 1, n):
+            jm = 1 << j
+            rest = full ^ im ^ jm
+            for cm in _iter_subsets(rest):
+                if has(im, jm, cm):
+                    for k in _iter_bits(cm):
+                        km = 1 << k
+                        if (leq[i] >> k) & 1 or (leq[j] >> k) & 1:
+                            continue
+                        if lt_col[k] & (cm ^ km):
+                            continue
+                        if not has(im, jm, cm ^ km):
+                            yield (
+                                "ordered-downward-stability",
+                                {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
+                            )

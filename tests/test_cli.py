@@ -189,6 +189,15 @@ def test_gaussian_conc_role(files, tmp_path, capsys):
 # -- errors ------------------------------------------------------------------------------
 
 
+def test_gaussian_conc_not_positive_definite_names_concentration(tmp_path, capsys):
+    k = tmp_path / "k.csv"
+    k.write_text("a,b\n1,2\n2,1\n")
+    code, out, err = invoke(capsys, "gaussian", "--conc", str(k))
+    assert code == 2 and out == ""
+    assert "concentration is not positive definite: leading principal minor 2 is -3" in err
+    assert "covariance" not in err
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["separate", "--graph", "nope.graph"]) == 2  # missing --a/--b
 

@@ -1,5 +1,6 @@
 """Markov/faithfulness deciders, graphicality search, and its sharp edges."""
 
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from graphfaith.graphs import (
     model_skeleton,
     parse_graph_text,
 )
+from graphfaith import faithfulness
 from graphfaith.faithfulness import (
     decide_graphical,
     is_faithful,
@@ -33,8 +35,10 @@ from graphfaith.models import (
     _stabilities_hold,
     check_semi_graphoid,
     check_singleton_transitivity,
+    parse_model_text,
     skeleton_pairs,
 )
+from graphfaith.limits import Caps
 from graphfaith.preorders import _iter_anterial_directings, minimal_preorder
 
 from conftest import LABELS, anterial_graphs, build_graph
@@ -377,6 +381,99 @@ def test_restricted_ang_same_as_unrestricted():
 def test_restricted_unknown_filter():
     with pytest.raises(ModelError, match="class filter"):
         restricted_graphical(induced_model(g("a -- b")), "PDAG")
+
+
+GATE_CHECKS = (
+    "check_semi_graphoid",
+    "check_intersection",
+    "check_composition",
+    "check_singleton_transitivity",
+    "check_upward_stability",
+    "check_downward_stability",
+)
+
+
+def test_gate_checks_resolve_through_module_names(monkeypatch):
+    # Wrappers set on faithfulness.check_* (as an outside tracer sets them)
+    # must see every gate call: each route runs its four checks once, in
+    # order, with the caps it was given.
+    calls = []
+    for name in GATE_CHECKS:
+        original = getattr(faithfulness, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, kwargs["cap"]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(faithfulness, name, counting)
+    caps = Caps(model_nodes=9, set_axiom_nodes=7, elementary_axiom_nodes=11, skeleton_edges=10)
+    # passes every condition of every class: one edge and an isolated node
+    model = induced_model(g("node c\na -- b"))
+    expected = {
+        "UG": [
+            ("check_semi_graphoid", 7),
+            ("check_intersection", 7),
+            ("check_singleton_transitivity", 11),
+            ("check_upward_stability", 11),
+        ],
+        "BG": [
+            ("check_semi_graphoid", 7),
+            ("check_composition", 7),
+            ("check_singleton_transitivity", 11),
+            ("check_downward_stability", 11),
+        ],
+        "DAG": [
+            ("check_semi_graphoid", 7),
+            ("check_intersection", 7),
+            ("check_composition", 7),
+            ("check_singleton_transitivity", 11),
+        ],
+    }
+    for kind, checks in expected.items():
+        calls.clear()
+        assert restricted_graphical(model, kind, caps=caps).graphical
+        assert calls == checks
+    calls.clear()
+    assert decide_graphical(model, caps=caps).graphical
+    assert calls == expected["DAG"]
+
+
+def test_search_failure_payloads_pinned():
+    # Both search routes, gate passed, no witness: the full failure JSON,
+    # key order included, since it is what `graphical --json` prints.
+    model = parse_model_text("node a\nnode b\nnode c\nnode d\na _||_ d | b\nb _||_ d | c\n")
+    verdict = decide_graphical(model)
+    assert verdict.to_json_dict() == {
+        "graphical": False,
+        "witnesses": [],
+        "failure": {
+            "property": "compatible-preorder-search",
+            "witness": {"directings_tried": 116, "stability_passing": 0},
+        },
+    }
+    assert json.dumps(verdict.failure.to_json_dict()) == (
+        '{"property": "compatible-preorder-search", '
+        '"witness": {"directings_tried": 116, "stability_passing": 0}}'
+    )
+    assert restricted_graphical(model, "AnG").to_json_dict() == verdict.to_json_dict()
+    dag = restricted_graphical(model, "DAG")
+    assert dag.to_json_dict() == {
+        "graphical": False,
+        "witnesses": [],
+        "failure": {
+            "property": "compatible-order-search",
+            "witness": {"dags_tried": 12, "stability_passing": 0},
+        },
+    }
+    assert json.dumps(dag.failure.to_json_dict()) == (
+        '{"property": "compatible-order-search", '
+        '"witness": {"dags_tried": 12, "stability_passing": 0}}'
+    )
+    square = build_graph("abcd", ("none", "--", "--", "--", "--", "none"))
+    assert restricted_graphical(induced_model(square), "DAG").failure.to_json_dict() == {
+        "property": "compatible-order-search",
+        "witness": {"dags_tried": 14, "stability_passing": 0},
+    }
 
 
 @given(anterial_graphs(max_nodes=4))

@@ -200,6 +200,23 @@ def test_covariance_must_be_pd_with_failing_minor():
         model_from_covariance(bad)
 
 
+def test_concentration_checked_before_inversion(monkeypatch):
+    # The error names the concentration and K's own minor (1 - 4), not a
+    # minor of the inverse; neither the cap nor the minors need the inverse.
+    import graphfaith.gaussian as gaussian
+
+    def no_inverse(m):
+        raise AssertionError("K was inverted before it was checked")
+
+    monkeypatch.setattr(gaussian, "inverse", no_inverse)
+    bad = RationalMatrix.from_rows(("a", "b"), [[1, 2], [2, 1]])
+    with pytest.raises(MatrixError) as info:
+        model_from_concentration(bad)
+    assert str(info.value) == "concentration is not positive definite: leading principal minor 2 is -3"
+    with pytest.raises(MatrixError, match="matrix has 3 rows, above the cap 2"):
+        model_from_concentration(RationalMatrix.identity(("a", "b", "c")), cap=2)
+
+
 def test_concentration_role_matches_inverse():
     k = adjacency_weight_matrix(g("1 -- 2\n2 -- 3"), Fraction(-1, 10))
     assert model_from_concentration(k) == model_from_covariance(inverse(k))

@@ -18,8 +18,8 @@ from graphfaith.graphs import induced_model, separates
 from graphfaith.models import (
     IndependenceModel,
     _iter_bits,
-    _iter_subsets,
     _iter_triple_masks,
+    elementary_table,
     marginalize_and_condition,
     model_from_elementary,
     model_to_text,
@@ -36,23 +36,13 @@ from conftest import (
 WIDE_LABELS = tuple("abcdefgh")
 
 
-def _elementary_map(n, holds):
-    """{(i, j): bitmask over conditioning masks C with holds(i, j, C)}."""
-    full = (1 << n) - 1
-    return {
-        (i, j): sum(1 << cm for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)) if holds(i, j, cm))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-
-
 def _graph_map(g):
     ground = sorted(g.nodes)
 
     def holds(i, j, cm):
         return separates(g, {ground[i]}, {ground[j]}, {ground[k] for k in _iter_bits(cm)})
 
-    return _elementary_map(len(ground), holds)
+    return elementary_table(len(ground), holds)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -89,7 +79,7 @@ def test_model_from_elementary_matches_reference_on_gaussians():
         def holds(i, j, cm):
             return partial_covariance(sigma, i, j, list(_iter_bits(cm))) == 0
 
-        elem = _elementary_map(n, holds)
+        elem = elementary_table(n, holds)
         assert model_from_elementary(labels, elem) == reference_model_from_elementary(labels, elem)
 
 

@@ -305,13 +305,13 @@ def test_downward_stable_semi_graphoids_have_intersection(j):
 def test_graphoid_downward_stable_wrt_everything_else_graph():
     # graphoids satisfy ordered downward-stability w.r.t. the minimal preorder
     # of the pairwise-constructed undirected graph
-    from graphfaith.faithfulness import _pairwise_ug_graph
+    from graphfaith.faithfulness import _pairwise_graph
 
     rng = random.Random(7)
     for _ in range(25):
         graph = random_anterial_graph(rng, LABELS[: rng.randint(2, 4)], 0.5)
         j = induced_model(graph)
-        gu = _pairwise_ug_graph(j)
+        gu = _pairwise_graph(j, "UG")
         p = minimal_preorder(gu)
         assert check_ordered_downward_stability(j, p).passed
 
