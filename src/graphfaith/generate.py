@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .graphs import MixedGraph, arc, arrow, line
+from .graphs import MixedGraph, _add_anterior_step, arc, arrow, line
 from .models import IndependenceModel, _iter_subsets
 from .preorders import Preorder, direct_skeleton
 
@@ -42,31 +42,21 @@ def random_preorder(rng: random.Random, labels: Sequence[str], order_prob: float
             rng.choice(classes).append(lab)
         else:
             classes.append([lab])
+    ground = tuple(sorted(set(labels)))
+    at = {lab: i for i, lab in enumerate(ground)}
+    # rows[i] holds the j with i <= j; a step a -> b puts b below a.
+    rows = [1 << i for i in range(len(ground))]
+    for cls_ in classes:
+        for lab in cls_[1:]:
+            _add_anterior_step(rows, at[cls_[0]], at[lab])
+            _add_anterior_step(rows, at[lab], at[cls_[0]])
+    # class x below class y, for a random set of x < y; the steps keep the rows closed
     k = len(classes)
-    below = [[False] * k for _ in range(k)]
     for x in range(k):
         for y in range(x + 1, k):
             if rng.random() < order_prob:
-                below[x][y] = True
-    # transitive closure keeps it a partial order (edges only go upward)
-    for m in range(k):
-        for x in range(k):
-            if below[x][m]:
-                for y in range(k):
-                    if below[m][y]:
-                        below[x][y] = True
-    pairs = []
-    for cls_ in classes:
-        for a in cls_:
-            for b in cls_:
-                pairs.append((a, b))
-    for x in range(k):
-        for y in range(k):
-            if below[x][y]:
-                for a in classes[x]:
-                    for b in classes[y]:
-                        pairs.append((a, b))
-    return Preorder.from_pairs(labels, pairs)
+                _add_anterior_step(rows, at[classes[y][0]], at[classes[x][0]])
+    return Preorder(ground, tuple(rows))
 
 
 def random_anterial_graph(

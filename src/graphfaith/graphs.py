@@ -23,6 +23,7 @@ from .models import (
     _iter_triple_masks,
     _member_buffer,
     _members_of,
+    _node_declaration,
     _set_code,
     elementary_table,
     model_from_elementary,
@@ -148,60 +149,47 @@ class MixedGraph:
         return ((a, b) if a <= b else (b, a)) in self.adjacent_pairs
 
     @cached_property
-    def _anterior_reach(self) -> dict[str, frozenset[str]]:
-        """v -> nodes reachable from v by walks over lines and forward arrows
-        (v excluded); these are exactly the targets v is an anterior of."""
-        step: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for e in self.edges:
-            if e.kind == LINE:
-                step[e.u].add(e.v)
-                step[e.v].add(e.u)
-            elif e.kind == ARROW:
-                step[e.u].add(e.v)
-        return {v: self._closure(v, step) for v in self.nodes}
+    def _ground(self) -> tuple[str, ...]:
+        return tuple(sorted(self.nodes))
 
-    @cached_property
-    def _directed_reach(self) -> dict[str, frozenset[str]]:
-        step: dict[str, set[str]] = {v: set() for v in self.nodes}
+    def _reach_rows(self, with_lines: bool) -> tuple[int, ...]:
+        """Over the sorted nodes, bit i of row j is set when i reaches j by
+        arrows (and lines, when `with_lines`), or i == j."""
+        at = {lab: i for i, lab in enumerate(self._ground)}
+        rows = [1 << i for i in range(len(at))]
         for e in self.edges:
             if e.kind == ARROW:
-                step[e.u].add(e.v)
-        return {v: self._closure(v, step) for v in self.nodes}
+                _add_anterior_step(rows, at[e.u], at[e.v])
+            elif e.kind == LINE and with_lines:
+                _add_anterior_step(rows, at[e.u], at[e.v])
+                _add_anterior_step(rows, at[e.v], at[e.u])
+        return tuple(rows)
 
-    @staticmethod
-    def _closure(start: str, step: dict[str, set[str]]) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(step[start])
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(step[w])
-        seen.discard(start)
-        return frozenset(seen)
+    @cached_property
+    def _anterior_rows(self) -> tuple[int, ...]:
+        """Reflexive anterior masks: the rows of the minimal preorder."""
+        return self._reach_rows(with_lines=True)
+
+    def _sets_of(self, rows: tuple[int, ...]) -> dict[str, frozenset[str]]:
+        ground = self._ground
+        return {
+            ground[j]: frozenset(ground[i] for i in _iter_bits(row ^ (1 << j)))
+            for j, row in enumerate(rows)
+        }
 
     @cached_property
     def anterior_sets(self) -> dict[str, frozenset[str]]:
         """j -> ant(j); a node is never an anterior of itself."""
-        ant: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for i, reach in self._anterior_reach.items():
-            for j in reach:
-                ant[j].add(i)
-        return {j: frozenset(s) for j, s in ant.items()}
+        return self._sets_of(self._anterior_rows)
 
     @cached_property
     def ancestor_sets(self) -> dict[str, frozenset[str]]:
-        an: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for i, reach in self._directed_reach.items():
-            for j in reach:
-                an[j].add(i)
-        return {j: frozenset(s) for j, s in an.items()}
+        return self._sets_of(self._reach_rows(with_lines=False))
 
     def semi_directed_cycle(self) -> tuple[str, ...] | None:
         """Some semi-directed cycle as a node tuple, or None."""
         for e in self.edges:
-            if e.kind == ARROW and (e.u in self._anterior_reach[e.v] or e.u == e.v):
+            if e.kind == ARROW and e.v in self.anterior_sets[e.u]:
                 return self._anterior_path(e.v, e.u) + (e.v,)
         return None
 
@@ -234,6 +222,18 @@ class MixedGraph:
 
     def __hash__(self) -> int:
         return hash((self.nodes, self.edges))
+
+
+def _add_anterior_step(ant: list[int], a: int, b: int) -> None:
+    """Add the step a -> b to transitively closed reflexive rows, in place.
+
+    ant[y] is the mask of the nodes that reach y.  Everything that reaches a
+    now reaches whatever b reaches, and the rows stay closed.
+    """
+    bit, grown = 1 << b, ant[a]
+    for y, row in enumerate(ant):
+        if row & bit:
+            ant[y] = row | grown
 
 
 def _require_known(g: MixedGraph, labels: Iterable[str]) -> None:
@@ -468,9 +468,8 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
     is_simple = len(g.adjacent_pairs) == len(g.edges)
     is_cmg = g.semi_directed_cycle() is None
     is_ang = is_cmg and g.violating_arc() is None
-    no_directed_cycle = not any(
-        e.kind == ARROW and e.u in g._directed_reach[e.v] for e in g.edges
-    )
+    an = g.ancestor_sets
+    no_directed_cycle = not any(e.kind == ARROW and e.v in an[e.u] for e in g.edges)
     is_ug = kinds <= {LINE}
     is_bg = kinds <= {ARC}
     is_dag = kinds <= {ARROW} and no_directed_cycle
@@ -480,14 +479,16 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
     heads_at = {n for e in g.edges for n in (e.u, e.v) if e.mark_at(n) == HEAD}
     no_heads_at_lines = not (line_nodes & heads_at)
     is_regression = is_cmg and no_heads_at_lines
-    an = g.ancestor_sets
     arcs_ancestral = all(
         e.u not in an[e.v] and e.v not in an[e.u] for e in g.edges if e.kind == ARC
     )
     is_ag = is_simple and no_directed_cycle and no_heads_at_lines and arcs_ancestral
     is_maximal: bool | None = None
     if is_cmg and len(g.nodes) <= maximality_cap:
-        is_maximal = _is_maximal(g)
+        # Maximal: every non-adjacent pair has a separating set.
+        ground = g._ground
+        table = _separation_table(g)
+        is_maximal = all(row or g.is_adjacent(ground[i], ground[j]) for (i, j), row in table.items())
     return GraphClassReport(
         is_simple=is_simple,
         is_cmg=is_cmg,
@@ -503,39 +504,32 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
     )
 
 
-def _is_maximal(g: MixedGraph) -> bool:
-    nodes = sorted(g.nodes)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if g.is_adjacent(u, v):
-                continue
-            rest = [w for w in nodes if w != u and w != v]
-            if not any(
-                separates(g, {u}, {v}, {rest[k] for k in range(len(rest)) if (sub >> k) & 1})
-                for sub in range(1 << len(rest))
-            ):
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Induced independence model and Markov equivalence
 # ----------------------------------------------------------------------
+
+
+def _separation_table(g: MixedGraph) -> dict[tuple[int, int], int]:
+    """The `elementary_table` of g over its sorted nodes: bit C of row (i, j)
+    is set when C separates i and j."""
+    ground = g._ground
+    labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << len(ground))]
+
+    def holds(i: int, j: int, cm: int) -> bool:
+        return separates(g, labels[1 << i], labels[1 << j], labels[cm])
+
+    return elementary_table(len(ground), holds)
 
 
 # A few recent models: a 10-node model holds 128 KB of members, and as much
 # again once its byte view is read.
 @lru_cache(maxsize=16)
 def _induced_model_cached(g: MixedGraph, via_elementary: bool) -> IndependenceModel:
-    ground = tuple(sorted(g.nodes))
+    ground = g._ground
+    if via_elementary:
+        return model_from_elementary(ground, _separation_table(g))
     n = len(ground)
     labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << n)]
-    if via_elementary:
-
-        def holds(i: int, j: int, cm: int) -> bool:
-            return separates(g, labels[1 << i], labels[1 << j], labels[cm])
-
-        return model_from_elementary(ground, elementary_table(n, holds))
     probe = IndependenceModel(ground, 0)
     buf = _member_buffer(n)
     for am, bm, cm in _iter_triple_masks(n):
@@ -609,15 +603,11 @@ def parse_graph_text(text: str, *, path: str | None = None) -> MixedGraph:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        tokens = body.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise ParseError("expected `node LABEL`", path=path, line=lineno)
-            if tokens[1] in declared:
-                raise ParseError(f"duplicate node declaration {tokens[1]!r}", path=path, line=lineno)
-            declared.add(tokens[1])
-            nodes.add(tokens[1])
+        label = _node_declaration(body, declared, path, lineno)
+        if label is not None:
+            nodes.add(label)
             continue
+        tokens = body.split()
         if len(tokens) != 3 or tokens[1] not in _KINDS:
             raise ParseError(
                 "expected `node LABEL` or `A -- B` / `A -> B` / `A <-> B`", path=path, line=lineno

@@ -624,45 +624,67 @@ def _require_same_ground(model: IndependenceModel, preorder: "Preorder") -> None
         )
 
 
+# (i, j, C, k): the member <i,j|C> and the node k of one stability violation.
+StabilityBreak = tuple[int, int, int, int]
+
+
+def _ordered_up_breaks(model: IndependenceModel, preorder: "Preorder") -> Iterator[StabilityBreak]:
+    """(i, j, C, k) for each member <i,j|C> and k outside C whose addition
+    leaves the model although i or j is below k or k is equivalent to a node
+    of C; pairs in order, then C, then k increasing."""
+    leq = preorder.leq_rows
+    sim_col = preorder._sim_cols
+    # Nodes in a class of two or more: only they can be equivalent to a node of C.
+    shared = 0
+    for k, col in enumerate(sim_col):
+        if col != 1 << k:
+            shared |= col
+    for i, j, up_any, _, ups, _ in model._stability_table:
+        near = leq[i] | leq[j]
+        if not up_any & (near | shared):
+            continue
+        for cm, up in ups:
+            eligible = near
+            for c in _iter_bits(cm & shared):
+                eligible |= sim_col[c]
+            for k in _iter_bits(up & eligible):
+                yield i, j, cm, k
+
+
+def _ordered_down_breaks(model: IndependenceModel, preorder: "Preorder") -> Iterator[StabilityBreak]:
+    """(i, j, C, k) for each member <i,j|C> and k in C whose removal leaves
+    the model although neither i nor j is below k and no node of C is
+    strictly below k; in the order of `_ordered_up_breaks`."""
+    leq = preorder.leq_rows
+    lt_col = preorder._lt_cols
+    for i, j, _, down_any, _, downs in model._stability_table:
+        far = ~(leq[i] | leq[j])
+        if not down_any & far:
+            continue
+        for cm, down in downs:
+            for k in _iter_bits(down & far):
+                if not lt_col[k] & cm:
+                    yield i, j, cm, k
+
+
+def _stability_witnesses(
+    model: IndependenceModel, axiom: str, breaks: Iterator[StabilityBreak]
+) -> Iterator[tuple[str, Witness]]:
+    g = model.ground
+    for i, j, cm, k in breaks:
+        yield axiom, {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]}
+
+
 def _iter_ordered_up_violations(
     model: IndependenceModel, preorder: "Preorder"
 ) -> Iterator[tuple[str, Witness]]:
-    full = (1 << model.n) - 1
-    g = model.ground
-    leq = preorder.leq_rows
-    sim_col = preorder._sim_cols
-    for (i, j), row in model._elementary.items():
-        rest = full ^ (1 << i) ^ (1 << j)
-        up = leq[i] | leq[j]
-        for cm in _iter_bits(row):
-            for k in _iter_bits(rest ^ cm):
-                eligible = (up >> k) & 1 or (sim_col[k] & cm)
-                if eligible and not (row >> (cm | (1 << k))) & 1:
-                    yield (
-                        "ordered-upward-stability",
-                        {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
-                    )
+    return _stability_witnesses(model, "ordered-upward-stability", _ordered_up_breaks(model, preorder))
 
 
 def _iter_ordered_down_violations(
     model: IndependenceModel, preorder: "Preorder"
 ) -> Iterator[tuple[str, Witness]]:
-    g = model.ground
-    leq = preorder.leq_rows
-    lt_col = preorder._lt_cols
-    for (i, j), row in model._elementary.items():
-        for cm in _iter_bits(row):
-            for k in _iter_bits(cm):
-                km = 1 << k
-                if (leq[i] >> k) & 1 or (leq[j] >> k) & 1:
-                    continue
-                if lt_col[k] & (cm ^ km):
-                    continue
-                if not (row >> (cm ^ km)) & 1:
-                    yield (
-                        "ordered-downward-stability",
-                        {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]},
-                    )
+    return _stability_witnesses(model, "ordered-downward-stability", _ordered_down_breaks(model, preorder))
 
 
 def check_ordered_upward_stability(
@@ -739,44 +761,14 @@ def check_dag_ordered_stabilities(
 
 
 def _stabilities_hold(model: IndependenceModel, preorder: "Preorder") -> bool:
-    """Both ordered stabilities hold; the screen of the directing search.
-
-    Answers from `model._stability_table` with a few mask tests per pair.
-    Upward, k outside C may be added when i or j is below k or k is
-    equivalent to a node of C; downward, k in C may be removed when neither
-    i nor j is below k and no node of C is strictly below k.  The violation
-    generators above are the reference this must agree with.
-    """
+    """Both ordered stabilities hold; the screen of the directing search."""
     leq = preorder.leq_rows
-    table = model._stability_table
     # Most candidates fail here, before the preorder's columns are needed.
-    for i, j, up_any, _, _, _ in table:
+    for i, j, up_any, _, _, _ in model._stability_table:
         if up_any & (leq[i] | leq[j]):
             return False
-    sim_col = preorder._sim_cols
-    lt_col = preorder._lt_cols
-    # Nodes in a class of two or more: only they can be equivalent to a node of C.
-    shared = 0
-    for k, col in enumerate(sim_col):
-        if col != 1 << k:
-            shared |= col
-    for i, j, up_any, down_any, ups, downs in table:
-        near = leq[i] | leq[j]
-        if up_any & shared:
-            for cm, up in ups:
-                if up & shared and cm & shared:
-                    for c in _iter_bits(cm & shared):
-                        if sim_col[c] & up:
-                            return False
-        if down_any & ~near:
-            for cm, down in downs:
-                down &= ~near
-                while down:
-                    low = down & -down
-                    if not lt_col[low.bit_length() - 1] & cm:
-                        return False
-                    down ^= low
-    return True
+    breaks = (_ordered_up_breaks, _ordered_down_breaks)
+    return all(next(scan(model, preorder), None) is None for scan in breaks)
 
 
 # ----------------------------------------------------------------------
@@ -784,6 +776,23 @@ def _stabilities_hold(model: IndependenceModel, preorder: "Preorder") -> bool:
 # ----------------------------------------------------------------------
 
 SEPARATOR = "_||_"
+# The edge symbols of the graph format, whose parser shares `_node_declaration`.
+_EDGE_SYMBOLS = ("--", "->", "<->")
+
+
+def _node_declaration(body: str, declared: set[str], path: str | None, lineno: int) -> str | None:
+    """The label that a `node LABEL` line declares, added to `declared`, or
+    None for any other line.  A statement or an edge line is no declaration,
+    also when its first label is `node` (`node _||_ x`, `node -- x`)."""
+    tokens = body.split()
+    if tokens[0] != "node" or SEPARATOR in body or (len(tokens) > 1 and tokens[1] in _EDGE_SYMBOLS):
+        return None
+    if len(tokens) != 2:
+        raise ParseError("expected `node LABEL`", path=path, line=lineno)
+    if tokens[1] in declared:
+        raise ParseError(f"duplicate node declaration {tokens[1]!r}", path=path, line=lineno)
+    declared.add(tokens[1])
+    return tokens[1]
 
 
 def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel:
@@ -829,14 +838,9 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        tokens = body.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise ParseError("expected `node LABEL`", path=path, line=lineno)
-            if tokens[1] in declared:
-                raise ParseError(f"duplicate node declaration {tokens[1]!r}", path=path, line=lineno)
-            declared.add(tokens[1])
-            mask_of((tokens[1],))
+        label = _node_declaration(body, declared, path, lineno)
+        if label is not None:
+            mask_of((label,))
             continue
         if SEPARATOR not in body:
             raise ParseError(f"expected a statement containing {SEPARATOR!r}", path=path, line=lineno)

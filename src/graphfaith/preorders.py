@@ -3,14 +3,15 @@
 A preorder is reflexive and transitive; mutual comparability is an
 equivalence, and the quotient by it is a partial order.  For anterial
 graphs the minimal preorder makes two nodes comparable exactly when one is
-an anterior of the other, and directing a skeleton by a preorder inverts
-that construction, which is what lets a model's skeleton be searched for
-compatible preorders by enumerating edge directings.  The enumeration is a
-depth-first search over the skeleton edges that carries the anterior masks
-(the minimal preorder) along and prunes a prefix as soon as it closes a
-semi-directed cycle or puts an arc between anterior-related nodes.  Both
-failures are monotone: adding edges only grows anterior sets, so a pruned
-prefix has no anterial completion and nothing is lost.
+an anterior of the other (its rows are the graph's anterior masks), and
+directing a skeleton by a preorder inverts that construction, which is
+what lets a model's skeleton be searched for compatible preorders by
+enumerating edge directings.  The search grows the anterior masks edge by
+edge with `_add_anterior_step`, the step graphs build theirs with, and
+prunes a prefix as soon as it closes a semi-directed cycle or puts an arc
+between anterior-related nodes.  Both failures are monotone: adding edges
+only grows anterior sets, so a pruned prefix has no anterial completion
+and nothing is lost.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphError, ParseError, PreorderError
-from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line, model_skeleton
+from .graphs import ARC, ARROW, LINE, MixedGraph, _add_anterior_step, arc, arrow, line, model_skeleton
 from .limits import DEFAULT_CAPS
 from .models import IndependenceModel, _iter_bits, skeleton_pairs
 
@@ -234,16 +235,7 @@ def minimal_preorder(g: MixedGraph) -> Preorder:
             f"arc between {bad_arc.u!r} and {bad_arc.v!r} has an endpoint anterior to the other; "
             "no valid preorder exists"
         )
-    ground = tuple(sorted(g.nodes))
-    index = {lab: i for i, lab in enumerate(ground)}
-    ant = g.anterior_sets
-    rows = []
-    for a in ground:
-        row = 1 << index[a]
-        for b in ant[a]:
-            row |= 1 << index[b]
-        rows.append(row)
-    return Preorder(ground, tuple(rows))
+    return Preorder(g._ground, g._anterior_rows)
 
 
 def direct_skeleton(sk: MixedGraph, p: Preorder) -> MixedGraph:
@@ -293,17 +285,9 @@ class Directing(NamedTuple):
     preorder: Preorder
 
     def graph(self) -> MixedGraph:
-        edges = []
-        for (u, v), choice in zip(self.pairs, self.choices):
-            if choice == LINE:
-                edges.append(line(u, v))
-            elif choice == ARROW:
-                edges.append(arrow(u, v))
-            elif choice == "<-":
-                edges.append(arrow(v, u))
-            else:
-                edges.append(arc(u, v))
-        return MixedGraph(frozenset(self.preorder.ground), tuple(edges))
+        """The skeleton directed by the preorder, which gives back the choices."""
+        sk = MixedGraph(frozenset(self.preorder.ground), tuple(line(u, v) for u, v in self.pairs))
+        return direct_skeleton(sk, self.preorder)
 
 
 def _direct_edge(
@@ -322,20 +306,15 @@ def _direct_edge(
         forbid[u] |= 1 << v
         forbid[v] |= 1 << u
         return ant, forbid
+    ant = ant.copy()
     if choice == LINE:
-        steps = ((u, v), (v, u))
+        _add_anterior_step(ant, u, v)
+        _add_anterior_step(ant, v, u)
     else:
         tail, head = (u, v) if choice == ARROW else (v, u)
         forbid = forbid.copy()
         forbid[tail] |= 1 << head
-        steps = ((tail, head),)
-    ant = ant.copy()
-    for a, b in steps:
-        # Everything anterior to a becomes anterior to whatever b is anterior to.
-        bit, grown = 1 << b, ant[a]
-        for y, row in enumerate(ant):
-            if row & bit:
-                ant[y] = row | grown
+        _add_anterior_step(ant, tail, head)
     for row, banned in zip(ant, forbid):
         if row & banned:
             return None

@@ -14,7 +14,7 @@ import random
 import hypothesis
 from hypothesis import strategies as st
 
-from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line
+from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line, separates
 from graphfaith.models import (
     IndependenceModel,
     _base4_weights,
@@ -214,6 +214,120 @@ def anterior_by_walks(g: MixedGraph, j, max_len=None):
         if walk(i, 0):
             found.add(i)
     return found
+
+
+def reference_closure(start, step):
+    """Nodes reachable from start in one or more steps (start excluded), by
+    a stack walk over label sets."""
+    seen = set()
+    stack = list(step[start])
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        stack.extend(step[w])
+    seen.discard(start)
+    return frozenset(seen)
+
+
+def reference_reach(g: MixedGraph, with_lines):
+    """v -> the nodes v reaches over forward arrows (and lines, both ways)."""
+    step = {v: set() for v in g.nodes}
+    for e in g.edges:
+        if e.kind == ARROW:
+            step[e.u].add(e.v)
+        elif e.kind == LINE and with_lines:
+            step[e.u].add(e.v)
+            step[e.v].add(e.u)
+    return {v: reference_closure(v, step) for v in g.nodes}
+
+
+def reference_sets(g: MixedGraph, with_lines):
+    """j -> the i != j that reach j: ant(j) with lines, an(j) without."""
+    out = {v: set() for v in g.nodes}
+    for i, reach in reference_reach(g, with_lines).items():
+        for j in reach:
+            out[j].add(i)
+    return {j: frozenset(s) for j, s in out.items()}
+
+
+def reference_semi_directed_cycle(g: MixedGraph):
+    reach = reference_reach(g, True)
+    for e in g.edges:
+        if e.kind == ARROW and e.u in reach[e.v]:
+            return g._anterior_path(e.v, e.u) + (e.v,)
+    return None
+
+
+def reference_violating_arc(g: MixedGraph):
+    ant = reference_sets(g, True)
+    for e in g.edges:
+        if e.kind == ARC and (e.u in ant[e.v] or e.v in ant[e.u]):
+            return e
+    return None
+
+
+def reference_is_maximal(g: MixedGraph):
+    """Every non-adjacent pair has some separating set, searched pair by pair."""
+    nodes = sorted(g.nodes)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if g.is_adjacent(u, v):
+                continue
+            rest = [w for w in nodes if w != u and w != v]
+            if not any(
+                separates(g, {u}, {v}, {rest[k] for k in range(len(rest)) if (sub >> k) & 1})
+                for sub in range(1 << len(rest))
+            ):
+                return False
+    return True
+
+
+def reference_class_flags(g: MixedGraph):
+    """Every flag of `classify`, keyed as its JSON dict, from the label closure."""
+    kinds = {e.kind for e in g.edges}
+    reach = reference_reach(g, False)
+    an = reference_sets(g, False)
+    is_cmg = reference_semi_directed_cycle(g) is None
+    no_directed_cycle = not any(e.kind == ARROW and e.u in reach[e.v] for e in g.edges)
+    line_nodes = {n for e in g.edges if e.kind == LINE for n in (e.u, e.v)}
+    heads_at = {n for e in g.edges for n in (e.u, e.v) if e.mark_at(n) == HEAD}
+    no_heads_at_lines = not (line_nodes & heads_at)
+    is_simple = len(g.adjacent_pairs) == len(g.edges)
+    arcs_ancestral = all(e.u not in an[e.v] and e.v not in an[e.u] for e in g.edges if e.kind == ARC)
+    return {
+        "simple": is_simple,
+        "CMG": is_cmg,
+        "AnG": is_cmg and reference_violating_arc(g) is None,
+        "UG": kinds <= {LINE},
+        "BG": kinds <= {ARC},
+        "DAG": kinds <= {ARROW} and no_directed_cycle,
+        "UCG": is_cmg and ARC not in kinds,
+        "BCG": is_cmg and LINE not in kinds,
+        "regression": is_cmg and no_heads_at_lines,
+        "AG": is_simple and no_directed_cycle and no_heads_at_lines and arcs_ancestral,
+        "maximal": reference_is_maximal(g) if is_cmg else None,
+    }
+
+
+def reference_minimal_preorder_rows(g: MixedGraph):
+    """The minimal preorder's rows (bit b of row a: b is a or an anterior of
+    a), or the error text of a graph that has none."""
+    cycle = reference_semi_directed_cycle(g)
+    if cycle is not None:
+        return f"graph has a semi-directed cycle {' -> '.join(cycle)}; no valid preorder exists"
+    bad_arc = reference_violating_arc(g)
+    if bad_arc is not None:
+        return (
+            f"arc between {bad_arc.u!r} and {bad_arc.v!r} has an endpoint anterior to the other; "
+            "no valid preorder exists"
+        )
+    ground = sorted(g.nodes)
+    ant = reference_sets(g, True)
+    return tuple(
+        sum(1 << k for k, b in enumerate(ground) if b == a or b in ant[a]) for a in ground
+    )
 
 
 def semi_graphoid_closure(model: IndependenceModel) -> IndependenceModel:

@@ -30,8 +30,6 @@ from graphfaith.faithfulness import (
 )
 from graphfaith.models import (
     IndependenceModel,
-    _iter_ordered_down_violations,
-    _iter_ordered_up_violations,
     _stabilities_hold,
     check_semi_graphoid,
     check_singleton_transitivity,
@@ -41,7 +39,13 @@ from graphfaith.models import (
 from graphfaith.limits import Caps
 from graphfaith.preorders import _iter_anterial_directings, minimal_preorder
 
-from conftest import LABELS, anterial_graphs, build_graph
+from conftest import (
+    LABELS,
+    anterial_graphs,
+    build_graph,
+    reference_ordered_down_violations,
+    reference_ordered_up_violations,
+)
 
 
 def g(text):
@@ -287,9 +291,10 @@ def test_stability_screen_requires_verification():
 
 
 def test_stability_table_matches_violation_generators():
-    # The table-driven screen against the two violation generators, on the
-    # minimal preorder of every anterial directing of graph-induced models
-    # and of single-statement perturbations of them.
+    # The table-driven screen against the membership-lookup references of
+    # both ordered stabilities, on the minimal preorder of every anterial
+    # directing of graph-induced models and of single-statement
+    # perturbations of them.
     rng = random.Random(3)
     outcomes = []
     models = 0
@@ -303,8 +308,8 @@ def test_stability_table_matches_violation_generators():
             for directing in _iter_anterial_directings(model):
                 p = directing.preorder
                 expected = (
-                    next(_iter_ordered_up_violations(model, p), None) is None
-                    and next(_iter_ordered_down_violations(model, p), None) is None
+                    next(reference_ordered_up_violations(model, p), None) is None
+                    and next(reference_ordered_down_violations(model, p), None) is None
                 )
                 assert _stabilities_hold(model, p) == expected
                 outcomes.append(expected)

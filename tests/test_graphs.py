@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphfaith.errors import GraphError, ParseError
+from graphfaith.preorders import minimal_preorder
 from graphfaith.generate import random_anterial_graph, random_mixed_graph
 from graphfaith.graphs import (
     ARC,
@@ -30,12 +31,18 @@ from graphfaith.graphs import (
 )
 
 from conftest import (
+    EDGE_CHOICES,
     anterior_by_walks,
     bruteforce_connecting_exists,
     build_graph,
     disjoint_queries,
     mixed_graphs,
     own_walk_connects,
+    reference_class_flags,
+    reference_minimal_preorder_rows,
+    reference_semi_directed_cycle,
+    reference_sets,
+    reference_violating_arc,
     ug_path_blocking_separates,
     undirected_graphs,
 )
@@ -112,6 +119,43 @@ def test_anteriors_transitive(graph):
 
 
 # -- classification ---------------------------------------------------------
+
+
+def _assert_matches_label_closure(graph):
+    assert graph.anterior_sets == reference_sets(graph, True)
+    assert graph.ancestor_sets == reference_sets(graph, False)
+    assert graph.semi_directed_cycle() == reference_semi_directed_cycle(graph)
+    assert graph.violating_arc() == reference_violating_arc(graph)
+    assert classify(graph).to_json_dict() == reference_class_flags(graph)
+    try:
+        rows = minimal_preorder(graph).leq_rows
+    except GraphError as exc:
+        rows = str(exc)
+    assert rows == reference_minimal_preorder_rows(graph)
+
+
+def test_anterior_rows_match_label_closure_on_anterial_graphs():
+    # Every anterial graph on 4 labelled nodes.
+    labels = "abcd"
+    count = 0
+    for choices in itertools.product(EDGE_CHOICES, repeat=6):
+        graph = build_graph(labels, choices)
+        if reference_semi_directed_cycle(graph) is None and reference_violating_arc(graph) is None:
+            count += 1
+            _assert_matches_label_closure(graph)
+    assert count > 1000
+
+
+def test_anterior_rows_match_label_closure_on_mixed_graphs():
+    # Cycles, arcs between anteriors and parallel arcs included.
+    rng = random.Random(17)
+    flags = set()
+    for _ in range(600):
+        graph = random_mixed_graph(rng, "abcdef"[: rng.randint(2, 6)], rng.choice((0.3, 0.6, 0.9)), 0.3)
+        _assert_matches_label_closure(graph)
+        report = classify(graph)
+        flags.add((report.is_cmg, report.is_ang, report.is_simple))
+    assert {(False, False, True), (True, False, True), (True, True, True), (True, False, False)} <= flags
 
 
 def test_directed_cycle_not_cmg():
@@ -378,6 +422,18 @@ def test_equivalent_maximal_graphs_share_skeleton_exhaustive():
 def test_graph_text_round_trip():
     graph = g("node z\na -> b\nb -- c\nc <-> d\nc <-> d")
     assert parse_graph_text(graph_to_text(graph)) == graph
+
+
+def test_graph_text_round_trip_node_labelled_node():
+    for graph in (
+        MixedGraph.build(lines=[("node", "x")]),
+        MixedGraph.build(nodes=["node"], arcs=[("x", "y")]),
+        MixedGraph.build(arrows=[("x", "node")], arcs=[("node", "y")]),
+    ):
+        assert parse_graph_text(graph_to_text(graph)) == graph
+    assert graph_to_text(MixedGraph.build(lines=[("node", "x")])) == "node -- x\n"
+    with pytest.raises(ParseError, match="expected `node LABEL`"):
+        parse_graph_text("node a b")
 
 
 def test_graph_text_line_order_stability():

@@ -409,6 +409,18 @@ def test_model_text_round_trip():
     assert parse_model_text(model_to_text(j)) == j
 
 
+def test_model_text_round_trip_node_labelled_node():
+    for j in (
+        model("node x y".split(), ({"node"}, {"x"}, {"y"})),
+        model("node x y z".split(), ({"x"}, {"y"}, {"node"})),
+        model("node x y".split(), ({"node", "x"}, {"y"}, ())),
+        model("node x y".split()),
+    ):
+        assert parse_model_text(model_to_text(j)) == j
+    with pytest.raises(ParseError, match="expected `node LABEL`"):
+        parse_model_text("node a b\n")
+
+
 def test_model_text_parses_spec_shapes():
     j = parse_model_text("a _||_ b | c d\na,b _||_ c,d | e\na _||_ b\n")
     assert j.contains({"a"}, {"b"}, {"c", "d"})
