@@ -9,37 +9,16 @@ decision reconstructs each class from the model alone.
 Usage: python scripts/equivalence_class_census.py [n]   (default n=3, cap 4)
 """
 
-import itertools
 import sys
 import time
 from collections import Counter
 
 from graphfaith.faithfulness import decide_graphical
-from graphfaith.graphs import MixedGraph, arc, arrow, induced_model, line
+from graphfaith.generate import all_anterial_graphs
+from graphfaith.graphs import induced_model
 from graphfaith.models import skeleton_pairs
 
 LABELS = tuple("abcd")
-
-
-def all_anterial_graphs(n):
-    labels = LABELS[:n]
-    pairs = list(itertools.combinations(labels, 2))
-    for choices in itertools.product((None, "--", "->", "<-", "<->"), repeat=len(pairs)):
-        edges = []
-        for (u, v), choice in zip(pairs, choices):
-            if choice is None:
-                continue
-            if choice == "--":
-                edges.append(line(u, v))
-            elif choice == "->":
-                edges.append(arrow(u, v))
-            elif choice == "<-":
-                edges.append(arrow(v, u))
-            else:
-                edges.append(arc(u, v))
-        g = MixedGraph(frozenset(labels), tuple(edges))
-        if g.semi_directed_cycle() is None and g.violating_arc() is None:
-            yield g
 
 
 def main():
@@ -48,7 +27,7 @@ def main():
         sys.exit("n must be between 1 and 4")
     t0 = time.time()
     by_model = {}
-    for g in all_anterial_graphs(n):
+    for g in all_anterial_graphs(LABELS[:n]):
         key = induced_model(g).members
         by_model.setdefault(key, []).append(g)
     total = sum(len(v) for v in by_model.values())

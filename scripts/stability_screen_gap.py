@@ -10,37 +10,16 @@ revisit nodes; the smallest examples live on the 4-cycle.
 Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 """
 
-import itertools
 import sys
 import time
 
 from graphfaith.faithfulness import is_faithful
-from graphfaith.graphs import MixedGraph, arc, arrow, graph_to_text, induced_model, line
+from graphfaith.generate import all_anterial_graphs
+from graphfaith.graphs import graph_to_text, induced_model
 from graphfaith.models import _stabilities_hold
 from graphfaith.preorders import _iter_anterial_directings
 
 LABELS = tuple("abcd")
-
-
-def all_anterial_graphs(n):
-    labels = LABELS[:n]
-    pairs = list(itertools.combinations(labels, 2))
-    for choices in itertools.product((None, "--", "->", "<-", "<->"), repeat=len(pairs)):
-        edges = []
-        for (u, v), choice in zip(pairs, choices):
-            if choice is None:
-                continue
-            if choice == "--":
-                edges.append(line(u, v))
-            elif choice == "->":
-                edges.append(arrow(u, v))
-            elif choice == "<-":
-                edges.append(arrow(v, u))
-            else:
-                edges.append(arc(u, v))
-        g = MixedGraph(frozenset(labels), tuple(edges))
-        if g.semi_directed_cycle() is None and g.violating_arc() is None:
-            yield g
 
 
 def main():
@@ -51,7 +30,7 @@ def main():
     seen = set()
     screened_total = faithful_total = 0
     gap_examples = []
-    for g in all_anterial_graphs(n):
+    for g in all_anterial_graphs(LABELS[:n]):
         model = induced_model(g)
         if model.members in seen:
             continue

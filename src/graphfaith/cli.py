@@ -151,6 +151,16 @@ _AXIOM_CHECKS: dict[str, Callable] = {
 }
 
 
+def _report(args: argparse.Namespace, reports: list) -> int:
+    """Emit axiom or stability reports; exit PASS only when all passed."""
+    payload = {"reports": [r.to_json_dict() for r in reports]}
+    human = "\n".join(
+        f"{r.property_name}: {'pass' if r.passed else f'FAIL ({r.count} violations)'}" for r in reports
+    )
+    _emit(args, payload, human)
+    return PASS if all(r.passed for r in reports) else FAIL
+
+
 def _cmd_axioms(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     caps = _caps_from(args)
@@ -163,43 +173,25 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         checker = _AXIOM_CHECKS[name]
         cap = caps.elementary_axiom_nodes if name == "singleton-transitivity" else caps.set_axiom_nodes
         reports.append(checker(model, cap=cap))
-    payload = {"reports": [r.to_json_dict() for r in reports]}
-    human = "\n".join(
-        f"{r.property_name}: {'pass' if r.passed else f'FAIL ({r.count} violations)'}" for r in reports
-    )
-    _emit(args, payload, human)
-    return PASS if all(r.passed for r in reports) else FAIL
+    return _report(args, reports)
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    caps = _caps_from(args)
-    reports = []
-    if args.preorder:
+    cap = _caps_from(args).elementary_axiom_nodes
+    if args.trivial == "all-equivalent":
+        return _report(args, [check_upward_stability(model, cap=cap)])
+    if args.trivial == "all-incomparable":
+        return _report(args, [check_downward_stability(model, cap=cap)])
+    if args.preorder is not None:
         p = load_preorder(args.preorder)
-        if args.direction in ("up", "both"):
-            reports.append(check_ordered_upward_stability(model, p, cap=caps.elementary_axiom_nodes))
-        if args.direction in ("down", "both"):
-            reports.append(check_ordered_downward_stability(model, p, cap=caps.elementary_axiom_nodes))
-    elif args.trivial == "all-equivalent":
-        reports.append(check_upward_stability(model, cap=caps.elementary_axiom_nodes))
-    elif args.trivial == "all-incomparable":
-        reports.append(check_downward_stability(model, cap=caps.elementary_axiom_nodes))
     else:
         g = load_graph(args.minimal_of)
         p = minimal_preorder(g)
         if frozenset(model.ground) != g.nodes:
             raise ParseError("graph nodes do not match the model ground")
-        if args.direction in ("up", "both"):
-            reports.append(check_ordered_upward_stability(model, p, cap=caps.elementary_axiom_nodes))
-        if args.direction in ("down", "both"):
-            reports.append(check_ordered_downward_stability(model, p, cap=caps.elementary_axiom_nodes))
-    payload = {"reports": [r.to_json_dict() for r in reports]}
-    human = "\n".join(
-        f"{r.property_name}: {'pass' if r.passed else f'FAIL ({r.count} violations)'}" for r in reports
-    )
-    _emit(args, payload, human)
-    return PASS if all(r.passed for r in reports) else FAIL
+    checks = (("up", check_ordered_upward_stability), ("down", check_ordered_downward_stability))
+    return _report(args, [check(model, p, cap=cap) for way, check in checks if args.direction in (way, "both")])
 
 
 def _cmd_markov(args: argparse.Namespace) -> int:
@@ -248,9 +240,9 @@ def _cmd_graphical(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian(args: argparse.Namespace) -> int:
-    if args.cov:
+    if args.cov is not None:
         matrix, role = load_matrix(args.cov), "covariance"
-    elif args.conc:
+    elif args.conc is not None:
         matrix, role = load_matrix(args.conc), "concentration"
     else:
         matrix, role = load_matrix(args.matrix), args.role

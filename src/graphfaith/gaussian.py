@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import MatrixError, ParseError
 from .graphs import LINE, MixedGraph
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, _iter_bits, elementary_table, model_from_elementary
+from .models import IndependenceModel, elementary_table, model_from_elementary
 
 
 @dataclass(frozen=True)
@@ -59,35 +59,49 @@ class RationalMatrix:
         return self.rows[self._index[a]][self._index[b]]
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i + 1, self.n)
+        return self._asymmetric_pair() is None
+
+    def _asymmetric_pair(self) -> tuple[int, int] | None:
+        """The first (i, j), i < j in row order, with entries (i,j) and (j,i) unequal."""
+        return next(
+            ((i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.rows[i][j] != self.rows[j][i]),
+            None,
         )
+
+
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One exact Gauss-Jordan step on the nonzero entry rows[r][c], in place:
+    row r is scaled to a unit pivot and column c is cleared from every other
+    row.  Rows are replaced, never mutated, so a shallow copy of `rows` keeps
+    the unpivoted matrix intact."""
+    p = rows[r][c]
+    pivot_row = rows[r] = [x / p for x in rows[r]]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if factor and i != r:
+            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+
+
+def _reduce(rows: list[list[Fraction]]) -> Fraction:
+    """Gauss-Jordan on the leading square block of `rows`, in place, swapping
+    rows to a nonzero pivot; returns the block's determinant, or 0 (with
+    elimination stopped) when it is singular."""
+    det = Fraction(1)
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= rows[c][c]
+        _pivot(rows, c, c)
+    return det
 
 
 def leading_principal_minors(m: RationalMatrix) -> list[Fraction]:
     """Determinants of the top-left k x k blocks, k = 1..n, computed exactly."""
-    return [_det([row[: k + 1] for row in m.rows[: k + 1]]) for k in range(m.n)]
-
-
-def _det(rows: list[Sequence[Fraction]]) -> Fraction:
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    return [_reduce([list(row[:k]) for row in m.rows[:k]]) for k in range(1, m.n + 1)]
 
 
 def is_positive_definite(m: RationalMatrix) -> bool:
@@ -112,63 +126,20 @@ def is_m_matrix(m: RationalMatrix) -> bool:
 def inverse(m: RationalMatrix) -> RationalMatrix:
     """Exact Gauss-Jordan inverse; raises on singular input."""
     n = m.n
-    a = [list(row) for row in m.rows]
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise MatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv_p = a[col][col]
-        a[col] = [x / inv_p for x in a[col]]
-        b[col] = [x / inv_p for x in b[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-    return RationalMatrix(m.labels, tuple(tuple(row) for row in b))
-
-
-def _solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a x = b by exact elimination; `a` is invertible by construction."""
-    n = len(a)
-    a = [row[:] for row in a]
-    b = b[:]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv_p = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / inv_p
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-                b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
+    if _reduce(rows) == 0:
+        raise MatrixError("matrix is singular")
+    return RationalMatrix(m.labels, tuple(tuple(row[n:]) for row in rows))
 
 
 def partial_covariance(m: RationalMatrix, i: int, j: int, given: Sequence[int]) -> Fraction:
-    """sigma_ij - sigma_iC (sigma_CC)^-1 sigma_Cj, exactly."""
-    if not given:
-        return m.rows[i][j]
-    sub = [[m.rows[r][c] for c in given] for r in given]
-    rhs = [m.rows[r][j] for r in given]
-    x = _solve(sub, rhs)
-    acc = m.rows[i][j]
-    for idx, r in enumerate(given):
-        acc -= m.rows[i][r] * x[idx]
-    return acc
+    """sigma_ij - sigma_iC (sigma_CC)^-1 sigma_Cj, exactly, as the Schur
+    determinant ratio det[[sigma_ij, sigma_iC], [sigma_Cj, sigma_CC]] / det sigma_CC."""
+    block = _reduce([[m.rows[r][c] for c in given] for r in given])
+    if block == 0:
+        raise MatrixError("conditioning block of the covariance is singular")
+    bordered = _reduce([[m.rows[r][c] for c in [j, *given]] for r in [i, *given]])
+    return bordered / block
 
 
 def _require_positive_definite(m: RationalMatrix, role: str) -> None:
@@ -191,24 +162,30 @@ def model_from_covariance(
     """
     if sigma.n > cap:
         raise MatrixError(f"matrix has {sigma.n} rows, above the cap {cap}")
-    if not sigma.is_symmetric():
-        bad = next(
-            (i, j)
-            for i in range(sigma.n)
-            for j in range(sigma.n)
-            if sigma.rows[i][j] != sigma.rows[j][i]
-        )
+    bad = sigma._asymmetric_pair()
+    if bad is not None:
         raise MatrixError(
             f"covariance must be symmetric; entries ({sigma.labels[bad[0]]},{sigma.labels[bad[1]]}) differ"
         )
     _require_positive_definite(sigma, "covariance")
-    order = sorted(range(sigma.n), key=lambda r: sigma.labels[r])
+    n = sigma.n
+    order = sorted(range(n), key=lambda r: sigma.labels[r])
     ground = tuple(sigma.labels[r] for r in order)
+    zero: set[tuple[int, int, int]] = set()
 
-    def holds(a: int, b: int, cm: int) -> bool:
-        return partial_covariance(sigma, order[a], order[b], [order[k] for k in _iter_bits(cm)]) == 0
+    def walk(cm: int, rows: list[list[Fraction]]) -> None:
+        # rows is sigma pivoted on C: entry (a, b) with a, b outside C is the
+        # partial covariance of a and b given C.  Children add a node above
+        # C's highest, each with one diagonal pivot, positive since sigma is PD.
+        rest = [a for a in range(n) if not cm >> a & 1]
+        zero.update((a, b, cm) for x, a in enumerate(rest) for b in rest[x + 1 :] if rows[a][b] == 0)
+        for k in range(cm.bit_length(), n):
+            child = list(rows)
+            _pivot(child, k, k)
+            walk(cm | 1 << k, child)
 
-    return model_from_elementary(ground, elementary_table(sigma.n, holds))
+    walk(0, [[sigma.rows[r][c] for c in order] for r in order])
+    return model_from_elementary(ground, elementary_table(n, lambda a, b, cm: (a, b, cm) in zero))
 
 
 def model_from_concentration(
@@ -266,7 +243,16 @@ def parse_matrix_csv(text: str, *, path: str | None = None) -> RationalMatrix:
     ]
     if not rows_raw:
         raise ParseError("empty matrix file", path=path)
-    header = [cell.strip() for cell in rows_raw[0][1]]
+    header_line, header_row = rows_raw[0]
+    header = [cell.strip() for cell in header_row]
+    for col, label in enumerate(header, start=1):
+        if not label or any(ch.isspace() or ch in ",|#" for ch in label):
+            raise ParseError(
+                f"header cell {col} ({label!r}): a label must be non-empty and contain "
+                "no whitespace, ',', '|' or '#'",
+                path=path,
+                line=header_line,
+            )
     n = len(header)
     if len(rows_raw) - 1 != n:
         raise ParseError(

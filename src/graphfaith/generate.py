@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import MixedGraph, _add_anterior_step, arc, arrow, line
 from .models import IndependenceModel, _iter_subsets
@@ -103,6 +104,19 @@ def random_mixed_graph(
             if kind != "arc" and rng.random() < multi_prob:
                 edges.append(arc(u, v))
     return MixedGraph(frozenset(labels), tuple(edges))
+
+
+def all_anterial_graphs(labels: Sequence[str]) -> Iterator[MixedGraph]:
+    """Every anterial graph on these labels, exhaustively.  Each pair (u, v),
+    in combination order, has no edge, u -- v, u -> v, v -> u or u <-> v,
+    tried in that order with the last pair varying fastest."""
+    pairs = list(itertools.combinations(labels, 2))
+    options = (None, line, arrow, lambda u, v: arrow(v, u), arc)
+    for choices in itertools.product(options, repeat=len(pairs)):
+        edges = tuple(edge(u, v) for (u, v), edge in zip(pairs, choices) if edge is not None)
+        g = MixedGraph(frozenset(labels), edges)
+        if g.semi_directed_cycle() is None and g.violating_arc() is None:
+            yield g
 
 
 def flip_one_elementary(rng: random.Random, model: IndependenceModel) -> IndependenceModel:

@@ -456,6 +456,38 @@ def reference_model_from_elementary(ground, separated):
     return IndependenceModel(gtuple, mask)
 
 
+def reference_partial_covariance(m, i, j, given):
+    """sigma_ij - sigma_iC (sigma_CC)^-1 sigma_Cj by solving sigma_CC x =
+    sigma_Cj with forward elimination and back substitution, one fresh
+    system per call: the route the conditioning-set walk replaced."""
+    if not given:
+        return m.rows[i][j]
+    n = len(given)
+    a = [[m.rows[r][c] for c in given] for r in given]
+    b = [m.rows[r][j] for r in given]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                for c in range(col, n):
+                    a[r][c] -= factor * a[col][c]
+                b[r] -= factor * b[col]
+    x = [0] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n):
+            acc -= a[r][c] * x[c]
+        x[r] = acc / a[r][r]
+    acc = m.rows[i][j]
+    for idx, r in enumerate(given):
+        acc -= m.rows[i][r] * x[idx]
+    return acc
+
+
 def reference_singleton_transitivity_violations(model: IndependenceModel):
     """The singleton-transitivity scan by membership lookups: for every pair
     i < j, every C with <i,j|C> and every k outside, in that order."""

@@ -27,10 +27,10 @@ def files(tmp_path):
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
-    model = induced_model(parse_graph_text(COLLIDER))
-    p = tmp_path / "coll.ci"
-    p.write_text(model_to_text(model))
-    paths["coll.ci"] = str(p)
+    for name, text in (("coll.ci", COLLIDER), ("chain.ci", CHAIN)):
+        p = tmp_path / name
+        p.write_text(model_to_text(induced_model(parse_graph_text(text))))
+        paths[name] = str(p)
     return paths
 
 
@@ -149,6 +149,65 @@ def test_stability_verb_with_preorder_file(files, tmp_path, capsys):
     assert all(r["passed"] for r in payload["reports"])
 
 
+STABILITY_SOURCES = {
+    "equal.pre": "class a b c\n",
+    "incomparable.pre": "class a\nclass b\nclass c\n",
+    "ug.graph": "a -- c\nc -- b\n",
+    "bg.graph": "a <-> b\nb <-> c\n",
+}
+COLLIDER_UP_BREAK = {"C": [], "i": "a", "j": "b", "k": "c"}
+CHAIN_DOWN_BREAK = {"C": ["b"], "i": "a", "j": "c", "k": "b"}
+
+
+@pytest.mark.parametrize(
+    "option, source, model, direction, witness",
+    [
+        ("--preorder", "equal.pre", "coll.ci", "up", COLLIDER_UP_BREAK),
+        ("--preorder", "equal.pre", "coll.ci", "down", None),
+        ("--preorder", "incomparable.pre", "chain.ci", "up", None),
+        ("--preorder", "incomparable.pre", "chain.ci", "down", CHAIN_DOWN_BREAK),
+        ("--minimal-of", "ug.graph", "coll.ci", "up", COLLIDER_UP_BREAK),
+        ("--minimal-of", "ug.graph", "coll.ci", "down", None),
+        ("--minimal-of", "bg.graph", "chain.ci", "up", None),
+        ("--minimal-of", "bg.graph", "chain.ci", "down", CHAIN_DOWN_BREAK),
+    ],
+)
+def test_stability_one_direction(files, tmp_path, capsys, option, source, model, direction, witness):
+    path = tmp_path / source
+    path.write_text(STABILITY_SOURCES[source])
+    argv = ["stability", "--model", files[model], option, str(path), "--direction", direction]
+    prop = {"up": "ordered-upward-stability", "down": "ordered-downward-stability"}[direction]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == (0 if witness is None else 1)
+    assert out == f"{prop}: {'pass' if witness is None else 'FAIL (1 violations)'}\n"
+    json_code, out, _ = invoke(capsys, *argv, "--json")
+    assert json_code == code
+    report = {
+        "count": 0 if witness is None else 1,
+        "passed": witness is None,
+        "property": prop,
+        "violations": [] if witness is None else [{"witness": witness}],
+    }
+    assert out == json.dumps({"reports": [report]}, sort_keys=True) + "\n"
+
+
+def test_stability_ground_mismatch_exit_2(files, tmp_path, capsys):
+    pre = tmp_path / "abd.pre"
+    pre.write_text("class a\nclass b\nclass d\n")
+    code, out, err = invoke(capsys, "stability", "--model", files["coll.ci"], "--preorder", str(pre))
+    assert (code, out) == (2, "")
+    assert err == "error: preorder ground ('a', 'b', 'd') does not match model ground ('a', 'b', 'c')\n"
+    graph = tmp_path / "abd.graph"
+    graph.write_text("a -> b\nb -> d\n")
+    code, out, err = invoke(capsys, "stability", "--model", files["coll.ci"], "--minimal-of", str(graph))
+    assert (code, out, err) == (2, "", "error: graph nodes do not match the model ground\n")
+    # A graph with no valid preorder is reported before its ground is compared.
+    graph.write_text("a -> b\nb -> d\nd -- a\n")
+    code, out, err = invoke(capsys, "stability", "--model", files["coll.ci"], "--minimal-of", str(graph))
+    assert (code, out) == (2, "")
+    assert err == "error: graph has a semi-directed cycle b -> d -> a -> b; no valid preorder exists\n"
+
+
 def test_alpha_verb_marginalize(files, capsys):
     code, out, _ = invoke(capsys, "alpha", "--model", files["coll.ci"], "--marginalize", "c")
     assert code == 0
@@ -196,6 +255,30 @@ def test_gaussian_conc_not_positive_definite_names_concentration(tmp_path, capsy
     assert code == 2 and out == ""
     assert "concentration is not positive definite: leading principal minor 2 is -3" in err
     assert "covariance" not in err
+
+
+def test_gaussian_rejects_label_the_model_text_cannot_carry(tmp_path, capsys):
+    # "b x" would print as a statement side that fails to re-parse.
+    m = tmp_path / "m.csv"
+    m.write_text("a,b x\n1,0\n0,1\n")
+    code, out, err = invoke(capsys, "gaussian", "--cov", str(m), "--print-model")
+    assert (code, out) == (2, "")
+    assert "m.csv:1: header cell 2 ('b x')" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--model", "coll.ci", "--preorder", ""],
+        ["gaussian", "--cov", ""],
+        ["gaussian", "--conc", ""],
+    ],
+)
+def test_empty_file_option_is_an_unreadable_file(files, capsys, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "cannot read file" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -25,15 +25,17 @@ from graphfaith.gaussian import (
 from graphfaith.generate import random_connected_ug
 from graphfaith.graphs import MixedGraph, line, parse_graph_text
 from graphfaith.models import (
+    _iter_bits,
     check_composition,
     check_intersection,
     check_semi_graphoid,
     check_singleton_transitivity,
     check_upward_stability,
+    elementary_table,
     skeleton_pairs,
 )
 
-from conftest import LABELS
+from conftest import LABELS, reference_partial_covariance
 
 UNFAITHFUL_COV = RationalMatrix.from_rows(
     ("1", "2", "3", "4"),
@@ -66,6 +68,13 @@ def test_inverse_singular():
         inverse(RationalMatrix.from_rows(("a", "b"), [[1, 1], [1, 1]]))
 
 
+def test_row_swap_pivot():
+    # The first pivot is zero, so the elimination must swap rows.
+    swap = RationalMatrix.from_rows(("a", "b"), [[0, 1], [1, 0]])
+    assert leading_principal_minors(swap) == [Fraction(0), Fraction(-1)]
+    assert inverse(swap) == swap
+
+
 def test_pd_rejects_indefinite():
     m = RationalMatrix.from_rows(("a", "b"), [[1, 2], [2, 1]])
     assert not is_positive_definite(m)
@@ -95,6 +104,12 @@ def test_unfaithful_cov_partial_covariance_vanishes():
     # sigma_13 - sigma_12 sigma_22^-1 sigma_23 = 1 - 2 * (1/4) * 2 = 0
     assert partial_covariance(UNFAITHFUL_COV, 0, 2, [1]) == 0
     assert UNFAITHFUL_COV.rows[0][2] - Fraction(2) * Fraction(1, 4) * Fraction(2) == 0
+
+
+def test_partial_covariance_singular_conditioning_block():
+    sigma = RationalMatrix.from_rows(("a", "b", "c"), [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    with pytest.raises(MatrixError, match="singular"):
+        partial_covariance(sigma, 0, 2, [1])
 
 
 def test_unfaithful_cov_model():
@@ -269,6 +284,60 @@ def test_mtp2_chain_faithful():
         assert check_upward_stability(j).passed
 
 
+# -- the conditioning-set walk against per-statement routes ------------------------------
+
+
+def _zero_tables(sigma):
+    """The walk's elementary table, and the tables from the solve-based
+    reference and from the Schur determinant ratio, over sorted labels."""
+    order = sorted(range(sigma.n), key=lambda r: sigma.labels[r])
+
+    def table(partial):
+        return elementary_table(
+            sigma.n,
+            lambda a, b, cm: partial(sigma, order[a], order[b], [order[k] for k in _iter_bits(cm)]) == 0,
+        )
+
+    return model_from_covariance(sigma)._elementary, table(reference_partial_covariance), table(partial_covariance)
+
+
+def _conditional_zeros(elementary):
+    return sum((row >> 1).bit_count() for row in elementary.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_matches_references_on_ug8_covariances(seed):
+    graph = random_connected_ug(random.Random(seed), tuple("abcdefgh"), 0.3)
+    sigma = inverse(adjacency_weight_matrix(graph, Fraction(-1, 10)))
+    walk, solved, ratio = _zero_tables(sigma)
+    assert walk == solved == ratio
+    assert _conditional_zeros(walk) > 0
+
+
+def test_walk_matches_references_on_unfaithful_cov():
+    walk, solved, ratio = _zero_tables(UNFAITHFUL_COV)
+    assert walk == solved == ratio
+    assert walk[(0, 2)] == 1 << 0b10  # only <1,3|2>
+
+
+def test_walk_matches_references_on_sparse_gram_matrices():
+    # B B^T + I with sparse integer B: partial covariances cancel to zero
+    # given non-empty C, the cases an inexact pivot would get wrong.
+    rng = random.Random(2024)
+    zeros = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        b = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        rows = [
+            [sum(b[i][k] * b[j][k] for k in range(n)) + int(i == j) for j in range(n)] for i in range(n)
+        ]
+        labels = tuple(rng.sample(LABELS, n))
+        walk, solved, ratio = _zero_tables(RationalMatrix.from_rows(labels, rows))
+        assert walk == solved == ratio
+        zeros += _conditional_zeros(walk)
+    assert zeros > 0
+
+
 # -- CSV format -----------------------------------------------------------------------------
 
 
@@ -291,3 +360,14 @@ def test_matrix_csv_errors():
         parse_matrix_csv("a,b\n1\n0,1\n")
     with pytest.raises(ParseError, match="rational"):
         parse_matrix_csv("a,b\n1,x\n0,1\n")
+
+
+@pytest.mark.parametrize("label", ["", "b x", "#b", "a|b", "a,b", "x\ty"])
+def test_matrix_csv_rejects_labels_the_text_formats_cannot_carry(label):
+    header = f'"{label}",b' if "," in label else f"{label},b"
+    if label.startswith("#"):
+        header = f"b,{label}"
+    with pytest.raises(ParseError, match="header cell") as info:
+        parse_matrix_csv(f"{header}\n1,0\n0,1\n", path="m.csv")
+    assert repr(label) in str(info.value)
+    assert str(info.value).startswith("m.csv:1:")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphfaith.errors import GraphError, ParseError
 from graphfaith.preorders import minimal_preorder
-from graphfaith.generate import random_anterial_graph, random_mixed_graph
+from graphfaith.generate import all_anterial_graphs, random_anterial_graph, random_mixed_graph
 from graphfaith.graphs import (
     ARC,
     MixedGraph,
@@ -144,6 +144,18 @@ def test_anterior_rows_match_label_closure_on_anterial_graphs():
             count += 1
             _assert_matches_label_closure(graph)
     assert count > 1000
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_all_anterial_graphs_in_product_order(n):
+    labels = "abcd"[:n]
+    expected = [
+        graph
+        for choices in itertools.product(EDGE_CHOICES, repeat=n * (n - 1) // 2)
+        for graph in [build_graph(labels, choices)]
+        if reference_semi_directed_cycle(graph) is None and reference_violating_arc(graph) is None
+    ]
+    assert list(all_anterial_graphs(labels)) == expected
 
 
 def test_anterior_rows_match_label_closure_on_mixed_graphs():
