@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Census of anterial graphs on n labeled nodes by Markov equivalence class.
 
-Enumerates every simple mixed graph (each pair carries nothing, a line, an
-arrow either way, or an arc), keeps the anterial ones, groups them by their
-induced independence model, and reports class sizes plus how the graphicality
-decision reconstructs each class from the model alone.
+Enumerates every anterial graph (each pair carries nothing, a line, an arrow
+either way, or an arc, with the pruned directing search skipping the rest),
+groups them by their induced independence model, and reports class sizes plus
+how the graphicality decision reconstructs each class from the model alone.
 
 Usage: python scripts/equivalence_class_census.py [n]   (default n=3, cap 4)
 """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GraphError, InternalCheckError, ModelError
-from .graphs import ARC, LINE, MixedGraph, arc, induced_model, line
+from .graphs import ARROW, MixedGraph, arc, induced_model, line
 from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
@@ -34,7 +34,7 @@ from .models import (
     skeleton_pairs,
 )
 # minimal_preorder stays bound here: perfbench's tracer wraps faithfulness.minimal_preorder.
-from .preorders import _iter_anterial_directings, minimal_preorder  # noqa: F401
+from .preorders import _EDGE_OPTIONS, _iter_anterial_directings, minimal_preorder  # noqa: F401
 
 
 def pairwise_conditioning_set(g: MixedGraph, i: str, j: str) -> frozenset[str]:
@@ -156,7 +156,8 @@ def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
 
 def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     """The directing search behind AnG (every anterial directing of the
-    skeleton) and DAG (only the arrow-only ones).
+    skeleton) and DAG (the enumerator tries only the two arrows on each
+    pair, so it yields the acyclic orientations and nothing else).
 
     Each candidate is screened by both ordered stabilities of its minimal
     preorder and, when it passes, verified by direct model equality.  The
@@ -175,12 +176,11 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
         return FaithfulnessVerdict(False, (), failure)
     model_cap = max(caps.model_nodes, model.n)
     arrows_only = kind == "DAG"
+    options = (ARROW, "<-") if arrows_only else _EDGE_OPTIONS
     witnesses: list[MixedGraph] = []
     tried = 0
     screened = 0
-    for directing in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges):
-        if arrows_only and (LINE in directing.choices or ARC in directing.choices):
-            continue
+    for directing in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges, options=options):
         tried += 1
         if not _stabilities_hold(model, directing.preorder):
             continue

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterator, Sequence
 
 from .graphs import MixedGraph, _add_anterior_step, arc, arrow, line
 from .models import IndependenceModel, _iter_subsets
-from .preorders import Preorder, direct_skeleton
+from .preorders import _EDGE_OPTIONS, Preorder, _iter_anterial_directings, direct_skeleton
 
 
 def random_skeleton(rng: random.Random, labels: Sequence[str], edge_prob: float = 0.5) -> MixedGraph:
@@ -107,16 +106,16 @@ def random_mixed_graph(
 
 
 def all_anterial_graphs(labels: Sequence[str]) -> Iterator[MixedGraph]:
-    """Every anterial graph on these labels, exhaustively.  Each pair (u, v),
-    in combination order, has no edge, u -- v, u -> v, v -> u or u <-> v,
-    tried in that order with the last pair varying fastest."""
-    pairs = list(itertools.combinations(labels, 2))
-    options = (None, line, arrow, lambda u, v: arrow(v, u), arc)
-    for choices in itertools.product(options, repeat=len(pairs)):
-        edges = tuple(edge(u, v) for (u, v), edge in zip(pairs, choices) if edge is not None)
-        g = MixedGraph(frozenset(labels), edges)
-        if g.semi_directed_cycle() is None and g.violating_arc() is None:
-            yield g
+    """Every anterial graph on these labels, exhaustively: the directings of
+    the complete skeleton in which a pair may also stay unjoined.  Each pair
+    (u, v), in sorted label order, has no edge, u -- v, u -> v, v -> u or
+    u <-> v, tried in that order with the last pair varying fastest."""
+    ground = tuple(sorted(labels))
+    complete = IndependenceModel(ground, 0)  # no statements: every pair is a skeleton edge
+    for directing in _iter_anterial_directings(
+        complete, edge_cap=len(ground) * (len(ground) - 1) // 2, options=(None, *_EDGE_OPTIONS)
+    ):
+        yield directing.graph()
 
 
 def flip_one_elementary(rng: random.Random, model: IndependenceModel) -> IndependenceModel:

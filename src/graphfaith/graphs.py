@@ -238,8 +238,8 @@ def _add_anterior_step(ant: list[int], a: int, b: int) -> None:
 
 def _require_known(g: MixedGraph, labels: Iterable[str]) -> None:
     for lab in labels:
-        if lab not in g.nodes:
-            raise GraphError(f"unknown node label {lab!r}")
+        if lab not in g.nodes:  # name the smallest unknown label, whatever the set order
+            raise GraphError(f"unknown node label {min(set(labels) - g.nodes)!r}")
 
 
 def anteriors(g: MixedGraph, j: str) -> frozenset[str]:

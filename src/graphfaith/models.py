@@ -146,11 +146,12 @@ class IndependenceModel:
     def _mask_of(self, labels: Iterable[str]) -> int:
         idx = self._index
         mask = 0
-        for lab in labels:
+        it = iter(labels)
+        for lab in it:
             try:
                 mask |= 1 << idx[lab]
-            except KeyError:
-                raise ModelError(f"unknown node label {lab!r}") from None
+            except KeyError:  # name the smallest unknown label, whatever the set order
+                raise ModelError(f"unknown node label {min({lab, *it} - idx.keys())!r}") from None
         return mask
 
     def _labels_of(self, mask: int) -> NodeSet:
@@ -274,11 +275,9 @@ class IndependenceModel:
     def full_independence(cls, ground: Iterable[str]) -> "IndependenceModel":
         """The model containing every disjoint triple (everything independent)."""
         gtuple = tuple(sorted(set(ground)))
-        probe = cls(gtuple, 0)
-        buf = _member_buffer(len(gtuple))
-        for am, bm, cm in _iter_triple_masks(len(gtuple)):
-            _set_code(buf, probe._code(am, bm, cm))
-        return cls(gtuple, _members_of(buf))
+        n = len(gtuple)
+        every_set = (1 << (1 << n)) - 1  # <i,j|C> for every conditioning set C
+        return model_from_elementary(gtuple, {(i, j): every_set for i in range(n) for j in range(i + 1, n)})
 
     # -- queries ---------------------------------------------------------
 

@@ -198,18 +198,25 @@ def quotient(p: Preorder) -> QuotientOrder:
 # ----------------------------------------------------------------------
 
 
+# The options a skeleton pair (u, v) can take, and the edge each one draws:
+# "--", "u -> v", "v -> u" or "<->".
+_EDGE_OPTIONS = (LINE, ARROW, "<-", ARC)
+_EDGE = {LINE: line, ARROW: arrow, "<-": lambda u, v: arrow(v, u), ARC: arc}
+# The option by (v <= u, u <= v): equivalent, below, above or incomparable.
+_BY_ORDER = {(True, True): LINE, (True, False): ARROW, (False, True): "<-", (False, False): ARC}
+
+
+def _option(p: Preorder, u: str, v: str) -> str:
+    """The one option that p allows on the pair (u, v): the arrow points at the lower end."""
+    return _BY_ORDER[p.leq(v, u), p.leq(u, v)]
+
+
 def is_valid_for(p: Preorder, g: MixedGraph) -> bool:
     """Edge conditions: lines need equivalence, arrows need head < tail,
-    arcs need incomparability."""
+    arcs need incomparability.  Each edge must take the pair's one option;
+    an arrow is stored tail first, so its option is ARROW."""
     _require_matching_ground(p, g)
-    for e in g.edges:
-        if e.kind == LINE and not p.sim(e.u, e.v):
-            return False
-        if e.kind == ARROW and not p.lt(e.v, e.u):
-            return False
-        if e.kind == ARC and not p.incomparable(e.u, e.v):
-            return False
-    return True
+    return all(_option(p, e.u, e.v) == e.kind for e in g.edges)
 
 
 def _require_matching_ground(p: Preorder, g: MixedGraph) -> None:
@@ -245,17 +252,7 @@ def direct_skeleton(sk: MixedGraph, p: Preorder) -> MixedGraph:
     if any(e.kind != LINE for e in sk.edges):
         raise GraphError("skeleton must contain lines only")
     _require_matching_ground(p, sk)
-    edges = []
-    for e in sk.edges:
-        if p.sim(e.u, e.v):
-            edges.append(line(e.u, e.v))
-        elif p.lt(e.v, e.u):
-            edges.append(arrow(e.u, e.v))
-        elif p.lt(e.u, e.v):
-            edges.append(arrow(e.v, e.u))
-        else:
-            edges.append(arc(e.u, e.v))
-    return MixedGraph(sk.nodes, tuple(edges))
+    return MixedGraph(sk.nodes, tuple(_EDGE[_option(p, e.u, e.v)](e.u, e.v) for e in sk.edges))
 
 
 def is_compatible(p: Preorder, model: IndependenceModel) -> bool:
@@ -269,36 +266,36 @@ def is_compatible(p: Preorder, model: IndependenceModel) -> bool:
     return minimal_preorder(directed) == p
 
 
-_EDGE_OPTIONS = (LINE, ARROW, "<-", ARC)
-
-
 class Directing(NamedTuple):
     """One anterial directing of a model's skeleton.
 
-    `choices[e]` is the option from (LINE, ARROW, "<-", ARC) taken by the
-    e-th sorted skeleton pair (u, v): "--", "u -> v", "v -> u" or "<->".
+    `choices[e]` is the option taken by the e-th sorted skeleton pair
+    (u, v): one of _EDGE_OPTIONS, or None when the pair is left unjoined.
     `preorder` is the minimal preorder of the directed graph.
     """
 
     pairs: tuple[tuple[str, str], ...]
-    choices: tuple[str, ...]
+    choices: tuple[str | None, ...]
     preorder: Preorder
 
     def graph(self) -> MixedGraph:
-        """The skeleton directed by the preorder, which gives back the choices."""
-        sk = MixedGraph(frozenset(self.preorder.ground), tuple(line(u, v) for u, v in self.pairs))
-        return direct_skeleton(sk, self.preorder)
+        """The skeleton with each pair joined as its choice says."""
+        edges = tuple(_EDGE[c](u, v) for (u, v), c in zip(self.pairs, self.choices) if c is not None)
+        return MixedGraph(frozenset(self.preorder.ground), edges)
 
 
 def _direct_edge(
-    ant: list[int], forbid: list[int], u: int, v: int, choice: str
+    ant: list[int], forbid: list[int], u: int, v: int, choice: str | None
 ) -> tuple[list[int], list[int]] | None:
     """Add one directed skeleton edge to a prefix state, or None if it fails.
 
     ant[y] is the reflexive anterior mask of y (the row of the minimal
     preorder); forbid[y] holds the nodes that must never become anteriors of
     y: the head of every arrow out of y and the far end of every arc at y.
+    A None choice leaves the pair unjoined and the state as it is.
     """
+    if choice is None:
+        return ant, forbid
     if choice == ARC:
         if (ant[v] >> u) & 1 or (ant[u] >> v) & 1:
             return None
@@ -322,17 +319,19 @@ def _direct_edge(
 
 
 def _iter_anterial_directings(
-    model: IndependenceModel, *, edge_cap: int = DEFAULT_CAPS.skeleton_edges
+    model: IndependenceModel, *, edge_cap: int = DEFAULT_CAPS.skeleton_edges, options=_EDGE_OPTIONS
 ) -> Iterator[Directing]:
-    """All anterial directings of the model's skeleton, in lexicographic
-    order of the per-edge choice vector over _EDGE_OPTIONS.
+    """All anterial directings of the model's skeleton whose every pair takes
+    one of `options`, in lexicographic order of the per-pair choice vector.
 
-    Depth-first over the sorted skeleton edges.  A prefix is dropped with its
+    Depth-first over the sorted skeleton pairs.  A prefix is dropped with its
     whole subtree as soon as an arrow closes a semi-directed cycle (its head
     becomes an anterior of its tail) or an arc joins a node to one of its
     anteriors.  Adding edges only grows anterior sets, so neither failure can
     be undone further down: the pruning is exact, and the yielded directings
-    and their order are those of filtering all 4^k choice vectors.
+    and their order are those of filtering all len(options)^k choice vectors.
+    With (ARROW, "<-") these are the DAGs; with None, also every anterial
+    graph on part of the skeleton.
     """
     pairs = tuple(sorted(skeleton_pairs(model)))
     k = len(pairs)
@@ -349,20 +348,20 @@ def _iter_anterial_directings(
     depth = 0
     while depth >= 0:
         picks[depth] += 1
-        if picks[depth] == len(_EDGE_OPTIONS):
+        if picks[depth] == len(options):
             picks[depth] = -1
             depth -= 1
             continue
         ant, forbid = states[depth]
         u, v = ends[depth]
-        state = _direct_edge(ant, forbid, u, v, _EDGE_OPTIONS[picks[depth]])
+        state = _direct_edge(ant, forbid, u, v, options[picks[depth]])
         if state is None:
             continue
         if depth + 1 < k:
             depth += 1
             states[depth] = state
         else:
-            choices = tuple(_EDGE_OPTIONS[p] for p in picks)
+            choices = tuple(options[p] for p in picks)
             yield Directing(pairs, choices, Preorder(ground, tuple(state[0])))
 
 

@@ -1,6 +1,10 @@
 """CLI verbs: thin wrappers, exit codes, JSON schemas, file diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from graphfaith.faithfulness import decide_graphical
 from graphfaith.graphs import graph_to_text, induced_model, parse_graph_text, separates
 from graphfaith.models import model_to_text, parse_model_text
 
+ROOT = Path(__file__).resolve().parents[1]
 COLLIDER = "a -> c\nb -> c\n"
 CHAIN = "a -> b\nb -> c\n"
 SIGMA_CSV = "1,2,3,4\n3,2,1,2\n2,4,2,1\n1,2,7,1\n2,1,1,6\n"
@@ -206,6 +211,27 @@ def test_stability_ground_mismatch_exit_2(files, tmp_path, capsys):
     code, out, err = invoke(capsys, "stability", "--model", files["coll.ci"], "--minimal-of", str(graph))
     assert (code, out) == (2, "")
     assert err == "error: graph has a semi-directed cycle b -> d -> a -> b; no valid preorder exists\n"
+
+
+def test_unknown_label_error_is_the_same_under_every_hash_seed(files):
+    # Label options are parsed into frozensets, whose iteration order follows
+    # the string hash seed; the error must name the smallest unknown label.
+    script = (
+        "import sys\n"
+        "from graphfaith.cli import run\n"
+        "print(run(['separate', '--graph', sys.argv[1], '--a', 'z,x,y', '--b', 'a']))\n"
+        "print(run(['alpha', '--model', sys.argv[2], '--marginalize', 'r,p,q']))\n"
+    )
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, files["coll.graph"], files["coll.ci"]],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs.add((done.stdout, done.stderr))
+    assert outputs == {("2\n2\n", "error: unknown node label 'x'\nerror: unknown node label 'p'\n")}
 
 
 def test_alpha_verb_marginalize(files, capsys):

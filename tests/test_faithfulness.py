@@ -481,6 +481,22 @@ def test_search_failure_payloads_pinned():
     }
 
 
+def test_dag_failure_payload_on_seven_nodes_pinned():
+    # Seed-1 7-node graph-induced model with 12 skeleton edges: 702 acyclic
+    # orientations, none passing the screen.  Enumerating only the two arrows
+    # per pair reaches them without walking its 207,260 anterial directings.
+    model = induced_model(random_anterial_graph(random.Random(1), "abcdefg", 0.5))
+    assert len(skeleton_pairs(model)) == 12
+    assert restricted_graphical(model, "DAG").to_json_dict() == {
+        "graphical": False,
+        "witnesses": [],
+        "failure": {
+            "property": "compatible-order-search",
+            "witness": {"dags_tried": 702, "stability_passing": 0},
+        },
+    }
+
+
 @given(anterial_graphs(max_nodes=4))
 def test_restricted_ug_matches_skeleton_when_passing(graph):
     j = induced_model(graph)

@@ -27,7 +27,7 @@ from graphfaith.models import (
 )
 from graphfaith.preorders import Preorder, minimal_preorder
 
-from conftest import LABELS, anterial_graphs, semi_graphoid_closure, small_models
+from conftest import LABELS, anterial_graphs, reference_triple_masks, semi_graphoid_closure, small_models
 
 
 def g(text):
@@ -76,6 +76,18 @@ def test_full_independence_model():
     j = IndependenceModel.full_independence("abc")
     assert j.contains({"a"}, {"b", "c"}, set())
     assert j.contains({"a"}, {"b"}, {"c"})
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_full_independence_is_every_triple(n):
+    # Built through model_from_elementary with every row full; the reference
+    # sets the bit of every disjoint triple code below 4^n.
+    ground = tuple("abcdefgh"[:n])
+    probe = IndependenceModel(ground, 0)
+    members = 0
+    for am, bm, cm in reference_triple_masks(n):
+        members |= 1 << probe._code(am, bm, cm)
+    assert IndependenceModel.full_independence(ground) == IndependenceModel(ground, members)
 
 
 def test_from_member_mask_validation():

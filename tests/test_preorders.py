@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphfaith.errors import CapExceededError, GraphError, ParseError, PreorderError
 from graphfaith.generate import random_preorder, random_skeleton
-from graphfaith.graphs import MixedGraph, arc, arrow, induced_model, line, parse_graph_text, skeleton
+from graphfaith.graphs import ARROW, MixedGraph, arc, arrow, induced_model, line, parse_graph_text, skeleton
 from graphfaith.models import IndependenceModel
 from graphfaith.preorders import (
     Preorder,
@@ -288,28 +288,55 @@ def test_enumerate_edge_cap():
         list(enumerate_compatible_preorders(j))
 
 
-def assert_directings_match_reference(model):
-    found = [(d.graph(), d.preorder) for d in _iter_anterial_directings(model)]
-    expected = [(h, minimal_preorder(h)) for h in product_filter_directings(model)]
+def assert_directings_match_reference(model, *, arrows_only=False):
+    # With arrows only, the search yields the all-arrow graphs of the
+    # unpruned reference, in its order.
+    kwargs = {"options": (ARROW, "<-")} if arrows_only else {}
+    found = [(d.graph(), d.preorder) for d in _iter_anterial_directings(model, **kwargs)]
+    expected = [
+        (h, minimal_preorder(h))
+        for h in product_filter_directings(model)
+        if not arrows_only or all(e.kind == ARROW for e in h.edges)
+    ]
     assert found == expected
 
 
-def test_pruned_directings_match_reference_on_every_4_node_skeleton():
+def every_4_node_skeleton_model():
     pairs = list(itertools.combinations("abcd", 2))
     for bits in range(1 << len(pairs)):
         lines = [line(u, v) for x, (u, v) in enumerate(pairs) if (bits >> x) & 1]
-        assert_directings_match_reference(induced_model(MixedGraph(frozenset("abcd"), tuple(lines))))
+        yield induced_model(MixedGraph(frozenset("abcd"), tuple(lines)))
 
 
-def test_pruned_directings_match_reference_on_random_skeletons():
+def seeded_skeleton_models():
     rng = random.Random(11)
     checked = 0
     while checked < 6:
         sk = random_skeleton(rng, LABELS[: rng.randint(5, 6)], 0.4)
         if not 4 <= len(sk.edges) <= 7:
             continue
-        assert_directings_match_reference(induced_model(sk))
+        yield induced_model(sk)
         checked += 1
+
+
+def test_pruned_directings_match_reference_on_every_4_node_skeleton():
+    for model in every_4_node_skeleton_model():
+        assert_directings_match_reference(model)
+
+
+def test_pruned_directings_match_reference_on_random_skeletons():
+    for model in seeded_skeleton_models():
+        assert_directings_match_reference(model)
+
+
+def test_dag_directings_match_reference_on_every_4_node_skeleton():
+    for model in every_4_node_skeleton_model():
+        assert_directings_match_reference(model, arrows_only=True)
+
+
+def test_dag_directings_match_reference_on_random_skeletons():
+    for model in seeded_skeleton_models():
+        assert_directings_match_reference(model, arrows_only=True)
 
 
 # -- text format ------------------------------------------------------------------------------
