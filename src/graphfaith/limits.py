@@ -22,7 +22,9 @@ class Caps:
     """Caps for exhaustive enumeration, grouped for CLI plumbing.
 
     model_nodes: full materialization of an independence model (4**n triples).
-    set_axiom_nodes: contraction/intersection/composition scans (5**n worst case).
+    set_axiom_nodes: semi-graphoid, intersection and composition checks; a pass
+        is decided by O(n**2) shifts of the 4**n-bit member integer, and the
+        scans (5**n worst case) run only to report a failure.
     elementary_axiom_nodes: singleton-transitivity and stability scans.
     skeleton_edges: edge-directing enumeration (4**edges candidates).
     """

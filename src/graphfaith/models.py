@@ -6,17 +6,18 @@ stored.  Storage is one bit per disjoint ordered triple: each node of the
 ground set takes one of four roles (out, first side, second side,
 conditioning), giving a base-4 code; the bit for the code with the two sides
 in canonical order is set.  Subset and equality are then plain integer
-operations, which is what makes the exhaustive axiom scans cheap enough to
-run at desk scale.  Lookups and scans read a cached byte view of the same
-bits (code c is bit c & 7 of byte c >> 3), so a membership test reads one
-byte instead of shifting a 4^n-bit integer, and every builder writes its
-members into a bytearray of that layout, turned into the integer once.
+operations, and so is the set-axiom gate: a one-node step of an axiom moves
+one digit, which is a shift of the whole member integer.  Lookups and scans
+read a cached byte view of the same bits (code c is bit c & 7 of byte
+c >> 3), so a membership test reads one byte instead of shifting a 4^n-bit
+integer, and every function that makes a model writes its members into a
+bytearray of that layout, turned into the integer once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ModelError, ParseError
@@ -38,6 +39,25 @@ def _base4_weights(n: int) -> tuple[int, ...]:
         for m in range(bit):
             out[m | bit] = out[m] + place
     return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _digit_masks(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+    """(digit, no_b) over the 4^n codes of n nodes: digit[v][k] has the bit
+    of every code whose base-4 digit v is k, and no_b the bit of every code
+    with no digit 2 (an empty second side)."""
+    digit = []
+    for v in range(n):
+        place = 4**v
+        block, width = (1 << place) - 1, 4 * place  # digit v is 0, in one period
+        while width < 4**n:
+            block |= block << width
+            width *= 2
+        digit.append(tuple(block << k * place for k in range(4)))
+    no_b = 1
+    for v in range(n):
+        no_b |= (no_b << 4**v) | (no_b << 3 * 4**v)
+    return tuple(digit), no_b
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -227,6 +247,39 @@ class IndependenceModel:
             if up_any or down_any:
                 table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
         return tuple(table)
+
+    @cached_property
+    def _symmetric(self) -> int:
+        """The members in both side orders: digits 1 and 2 swapped at every node."""
+        swapped = self.members
+        for v, (d0, d1, d2, d3) in enumerate(_digit_masks(self.n)[0]):
+            place = 4**v
+            swapped = (swapped & (d0 | d3)) | ((swapped & d1) << place) | ((swapped & d2) >> place)
+        return self.members | swapped
+
+    @cached_property
+    def _semi_graphoid(self) -> bool:
+        """Decomposition, weak union and contraction, decided by one-node steps.
+
+        On the symmetric set S, for every node v: decomposition drops v from
+        the second side (digit 2 -> 0), weak union moves it to the
+        conditioning set (2 -> 3), and a result with a non-empty second side
+        must be in S; contraction with D = {v} is `_joins_hold(self, 3, 0)`.
+        That is exact: chaining one-node moves gives decomposition and weak
+        union for any D, and contraction follows by induction on |D|.  For
+        D = D' u {v}, <A,D|C> gives <A,D'|C> by decomposition and
+        <A,{v}|C u D'> by weak union; the one-node step turns the latter and
+        <A,B|C u D> into <A,B u {v}|C u D'>, and contraction over D' (the
+        induction) with <A,D'|C> gives <A,B u D|C>.
+        """
+        s = self._symmetric
+        digit, no_b = _digit_masks(self.n)
+        missing_with_b = ~(s | no_b)
+        for v, (_, _, d2, _) in enumerate(digit):
+            with_v = s & d2
+            if ((with_v >> 2 * 4**v) | (with_v << 4**v)) & missing_with_b:
+                return False
+        return _joins_hold(self, 3, 0)
 
     # -- construction --------------------------------------------------
 
@@ -514,6 +567,31 @@ def _check_set_cap(model: IndependenceModel, cap: int) -> None:
     require_within("ground for set-level axiom check", model.n, cap)
 
 
+def _joins_hold(model: IndependenceModel, given: int, spread: int) -> bool:
+    """Every one-node join of one rule holds, by whole-model shifts.
+
+    For each node v, the codes <A,0|C'> with <A,{v}|C'> in the symmetric
+    set S are widened: any of their digits `spread` may turn into 2.  With
+    spread 0 that gives every <A,B|C0> with <A,{v}|C0>, with spread 3 every
+    <A,B|C0> with <A,{v}|C0 u B>.  They meet the <A,B|C0> (v outside) with
+    <A,B|C0 u {v}> in S (given 3) or <A,B|C0> in S (given 0), and each code
+    they share must be in S with v joined to B.  So (3, 0) is contraction,
+    (3, 3) intersection and (0, 0) composition, each with D = {v}.
+    """
+    s = model._symmetric
+    missing = ~s
+    digit, no_b = _digit_masks(model.n)
+    for v, masks in enumerate(digit):
+        place = 4**v
+        widened = ((s & masks[2]) >> 2 * place) & no_b
+        for u, other in enumerate(digit):
+            moved = widened & other[spread]
+            widened |= moved << 2 * 4**u if spread == 0 else moved >> 4**u
+        if (((s & masks[given]) >> given * place & widened) << 2 * place) & missing:
+            return False
+    return True
+
+
 def _iter_semi_graphoid_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     # Symmetry cannot fail: storage is canonicalized over the side order.
     has = model._has
@@ -536,12 +614,14 @@ def _iter_semi_graphoid_violations(model: IndependenceModel) -> Iterator[tuple[s
 
 
 def check_semi_graphoid(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_axiom_nodes) -> CheckReport:
-    """Symmetry, decomposition, weak union, and contraction, exhaustively."""
+    """Symmetry, decomposition, weak union, and contraction.  A pass is
+    decided by `IndependenceModel._semi_graphoid`; the exhaustive scan runs
+    only to report a failure."""
     _check_set_cap(model, cap)
     return _reduce(
         "semi-graphoid",
         ("decomposition", "weak-union", "contraction"),
-        _iter_semi_graphoid_violations(model),
+        () if model._semi_graphoid else _iter_semi_graphoid_violations(model),
     )
 
 
@@ -557,9 +637,17 @@ def _iter_intersection_violations(model: IndependenceModel) -> Iterator[tuple[st
 
 
 def check_intersection(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_axiom_nodes) -> CheckReport:
-    """Intersection: from <A,B|C u D> and <A,D|C u B> infer <A,B u D|C>."""
+    """Intersection: from <A,B|C u D> and <A,D|C u B> infer <A,B u D|C>.
+
+    A semi-graphoid passes when its one-node joins hold; otherwise the scan
+    decides.  For D = D' u {v}, weak union turns <A,D|C u B> into
+    <A,{v}|C u B u D'> and <A,D'|C u B u {v}>; the join with <A,B|C u D>
+    gives <A,B u {v}|C u D'>, and intersection over D' (induction on |D|)
+    gives <A,B u D|C>.
+    """
     _check_set_cap(model, cap)
-    return _reduce("intersection", ("intersection",), _iter_intersection_violations(model))
+    passed = model._semi_graphoid and _joins_hold(model, 3, 3)
+    return _reduce("intersection", ("intersection",), () if passed else _iter_intersection_violations(model))
 
 
 def _iter_composition_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
@@ -575,9 +663,16 @@ def _iter_composition_violations(model: IndependenceModel) -> Iterator[tuple[str
 
 
 def check_composition(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_axiom_nodes) -> CheckReport:
-    """Composition: from <A,B|C> and <A,D|C> infer <A,B u D|C>."""
+    """Composition: from <A,B|C> and <A,D|C> infer <A,B u D|C>.
+
+    A semi-graphoid passes when its one-node joins hold; otherwise the scan
+    decides.  For D = D' u {v}, decomposition turns <A,D|C> into <A,{v}|C>
+    and <A,D'|C>; the join with <A,B|C> gives <A,B u {v}|C>, and
+    composition over D' (induction on |D|) gives <A,B u D|C>.
+    """
     _check_set_cap(model, cap)
-    return _reduce("composition", ("composition",), _iter_composition_violations(model))
+    passed = model._semi_graphoid and _joins_hold(model, 0, 0)
+    return _reduce("composition", ("composition",), () if passed else _iter_composition_violations(model))
 
 
 def _iter_singleton_transitivity_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:

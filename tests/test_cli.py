@@ -336,6 +336,23 @@ def test_version_flag(capsys):
     assert "graphfaith" in capsys.readouterr().out
 
 
+def test_python_dash_m_runs_the_command(files):
+    from graphfaith import __version__
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "graphfaith", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    done = module("--version")
+    assert (done.returncode, done.stdout) == (0, f"graphfaith {__version__}\n")
+    done = module("separate", "--graph", files["coll.graph"], "--a", "a", "--b", "b", "--given", "c")
+    assert (done.returncode, done.stdout) == (1, "not separated (a -> c <- b)\n")
+
+
 def test_seed_flag_rejected(files, capsys):
     # --seed is not an option of any verb: passing it is a usage error
     code, _, err = invoke(capsys, "classify", "--graph", files["coll.graph"], "--seed", "7")
