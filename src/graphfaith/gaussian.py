@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import MatrixError, ParseError
 from .graphs import LINE, MixedGraph
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, elementary_table, model_from_elementary
+from .models import IndependenceModel, _require_label, elementary_table, model_from_elementary
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,12 @@ def model_from_covariance(
             f"covariance must be symmetric; entries ({sigma.labels[bad[0]]},{sigma.labels[bad[1]]}) differ"
         )
     _require_positive_definite(sigma, "covariance")
+    return _covariance_model(sigma)
+
+
+def _covariance_model(sigma: RationalMatrix) -> IndependenceModel:
+    """The model of a symmetric positive definite covariance: one checked by
+    the caller, or the exact inverse of a checked concentration."""
     n = sigma.n
     order = sorted(range(n), key=lambda r: sigma.labels[r])
     ground = tuple(sigma.labels[r] for r in order)
@@ -200,7 +206,7 @@ def model_from_concentration(
     if k_matrix.n > cap:
         raise MatrixError(f"matrix has {k_matrix.n} rows, above the cap {cap}")
     _require_positive_definite(k_matrix, "concentration")
-    return model_from_covariance(inverse(k_matrix), cap=cap)
+    return _covariance_model(inverse(k_matrix))
 
 
 def adjacency_weight_matrix(g: MixedGraph, eps: Fraction | int | str) -> RationalMatrix:
@@ -246,13 +252,7 @@ def parse_matrix_csv(text: str, *, path: str | None = None) -> RationalMatrix:
     header_line, header_row = rows_raw[0]
     header = [cell.strip() for cell in header_row]
     for col, label in enumerate(header, start=1):
-        if not label or any(ch.isspace() or ch in ",|#" for ch in label):
-            raise ParseError(
-                f"header cell {col} ({label!r}): a label must be non-empty and contain "
-                "no whitespace, ',', '|' or '#'",
-                path=path,
-                line=header_line,
-            )
+        _require_label(label, f"header cell {col} ({label!r})", path, header_line)
     n = len(header)
     if len(rows_raw) - 1 != n:
         raise ParseError(

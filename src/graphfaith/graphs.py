@@ -24,6 +24,7 @@ from .models import (
     _member_buffer,
     _members_of,
     _node_declaration,
+    _require_label,
     _set_code,
     elementary_table,
     model_from_elementary,
@@ -613,6 +614,8 @@ def parse_graph_text(text: str, *, path: str | None = None) -> MixedGraph:
                 "expected `node LABEL` or `A -- B` / `A -> B` / `A <-> B`", path=path, line=lineno
             )
         u, kind, v = tokens
+        for lab in (u, v):
+            _require_label(lab, f"label {lab!r}", path, lineno)
         if u == v:
             raise ParseError(f"loop at node {u!r} is not allowed", path=path, line=lineno)
         edge = line(u, v) if kind == LINE else arrow(u, v) if kind == ARROW else arc(u, v)

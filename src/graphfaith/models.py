@@ -711,13 +711,6 @@ def check_singleton_transitivity(
     )
 
 
-def _require_same_ground(model: IndependenceModel, preorder: "Preorder") -> None:
-    if tuple(preorder.ground) != model.ground:
-        raise ModelError(
-            f"preorder ground {tuple(preorder.ground)} does not match model ground {model.ground}"
-        )
-
-
 # (i, j, C, k): the member <i,j|C> and the node k of one stability violation.
 StabilityBreak = tuple[int, int, int, int]
 
@@ -761,24 +754,39 @@ def _ordered_down_breaks(model: IndependenceModel, preorder: "Preorder") -> Iter
                     yield i, j, cm, k
 
 
-def _stability_witnesses(
-    model: IndependenceModel, axiom: str, breaks: Iterator[StabilityBreak]
-) -> Iterator[tuple[str, Witness]]:
+def _plain_breaks(model: IndependenceModel, upward: bool) -> Iterator[StabilityBreak]:
+    """Every upward or every downward entry of the stability table, in the
+    order of `_ordered_up_breaks`.  These are the ordered breaks under the
+    all-equivalent preorder (upward: every k outside C is eligible) and the
+    all-incomparable one (downward: C never holds i or j, and no node is
+    strictly below another), so no preorder is built."""
+    for i, j, _, _, ups, downs in model._stability_table:
+        for cm, ks in ups if upward else downs:
+            for k in _iter_bits(ks):
+                yield i, j, cm, k
+
+
+def _stability_report(
+    model: IndependenceModel,
+    name: str,
+    breaks: Iterator[StabilityBreak],
+    cap: int,
+    preorder: "Preorder | None" = None,
+) -> CheckReport:
+    """The report of one stability over its breaks, after the cap check and,
+    given a preorder, the ground check.  `breaks` must be a generator that
+    has not started, so that neither check waits on the stability table."""
+    require_within("ground for stability check", model.n, cap)
+    if preorder is not None and tuple(preorder.ground) != model.ground:
+        raise ModelError(
+            f"preorder ground {tuple(preorder.ground)} does not match model ground {model.ground}"
+        )
     g = model.ground
-    for i, j, cm, k in breaks:
-        yield axiom, {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]}
-
-
-def _iter_ordered_up_violations(
-    model: IndependenceModel, preorder: "Preorder"
-) -> Iterator[tuple[str, Witness]]:
-    return _stability_witnesses(model, "ordered-upward-stability", _ordered_up_breaks(model, preorder))
-
-
-def _iter_ordered_down_violations(
-    model: IndependenceModel, preorder: "Preorder"
-) -> Iterator[tuple[str, Witness]]:
-    return _stability_witnesses(model, "ordered-downward-stability", _ordered_down_breaks(model, preorder))
+    found = (
+        (name, {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]})
+        for i, j, cm, k in breaks
+    )
+    return _reduce(name, (name,), found)
 
 
 def check_ordered_upward_stability(
@@ -792,13 +800,7 @@ def check_ordered_upward_stability(
 
     Quantifies over elementary statements only, per the defining property.
     """
-    require_within("ground for stability check", model.n, cap)
-    _require_same_ground(model, preorder)
-    return _reduce(
-        "ordered-upward-stability",
-        ("ordered-upward-stability",),
-        _iter_ordered_up_violations(model, preorder),
-    )
+    return _stability_report(model, "ordered-upward-stability", _ordered_up_breaks(model, preorder), cap, preorder)
 
 
 def check_ordered_downward_stability(
@@ -810,33 +812,21 @@ def check_ordered_downward_stability(
     """Removing k from the conditioning set of <i,j|C> must preserve
     membership whenever neither i nor j is below k and no other conditioning
     node is strictly below k."""
-    require_within("ground for stability check", model.n, cap)
-    _require_same_ground(model, preorder)
-    return _reduce(
-        "ordered-downward-stability",
-        ("ordered-downward-stability",),
-        _iter_ordered_down_violations(model, preorder),
-    )
+    return _stability_report(model, "ordered-downward-stability", _ordered_down_breaks(model, preorder), cap, preorder)
 
 
 def check_upward_stability(
     model: IndependenceModel, *, cap: int = DEFAULT_CAPS.elementary_axiom_nodes
 ) -> CheckReport:
     """Unrestricted variant: any k may be added (all nodes equivalent)."""
-    from .preorders import Preorder
-
-    report = check_ordered_upward_stability(model, Preorder.all_equivalent(model.ground), cap=cap)
-    return CheckReport("upward-stability", report.passed, report.violations, report.count)
+    return _stability_report(model, "upward-stability", _plain_breaks(model, True), cap)
 
 
 def check_downward_stability(
     model: IndependenceModel, *, cap: int = DEFAULT_CAPS.elementary_axiom_nodes
 ) -> CheckReport:
     """Unrestricted variant: any k may be removed (all nodes incomparable)."""
-    from .preorders import Preorder
-
-    report = check_ordered_downward_stability(model, Preorder.all_incomparable(model.ground), cap=cap)
-    return CheckReport("downward-stability", report.passed, report.violations, report.count)
+    return _stability_report(model, "downward-stability", _plain_breaks(model, False), cap)
 
 
 def check_dag_ordered_stabilities(
@@ -874,6 +864,14 @@ SEPARATOR = "_||_"
 _EDGE_SYMBOLS = ("--", "->", "<->")
 
 
+def _require_label(label: str, subject: str, path: str | None, line: int | None) -> None:
+    """Reject a label that the model and graph texts cannot carry: the
+    ParseError starts with `subject`, which names the label."""
+    if not label or any(ch.isspace() or ch in ",|#" for ch in label):
+        rule = "a label must be non-empty and contain no whitespace, ',', '|' or '#'"
+        raise ParseError(f"{subject}: {rule}", path=path, line=line)
+
+
 def _node_declaration(body: str, declared: set[str], path: str | None, lineno: int) -> str | None:
     """The label that a `node LABEL` line declares, added to `declared`, or
     None for any other line.  A statement or an edge line is no declaration,
@@ -883,6 +881,7 @@ def _node_declaration(body: str, declared: set[str], path: str | None, lineno: i
         return None
     if len(tokens) != 2:
         raise ParseError("expected `node LABEL`", path=path, line=lineno)
+    _require_label(tokens[1], f"label {tokens[1]!r}", path, lineno)
     if tokens[1] in declared:
         raise ParseError(f"duplicate node declaration {tokens[1]!r}", path=path, line=lineno)
     declared.add(tokens[1])
@@ -907,11 +906,12 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
     sides: dict[str, int] = {}  # side text -> its mask; texts repeat across lines
     givens: dict[str, int] = {}
 
-    def mask_of(labels: Iterable[str]) -> int:
+    def mask_of(labels: Iterable[str], lineno: int) -> int:
         mask = 0
         for lab in labels:
             k = index.get(lab)
             if k is None:
+                _require_label(lab, f"label {lab!r}", path, lineno)
                 k = index[lab] = len(index)
             mask |= 1 << k
         return mask
@@ -919,13 +919,13 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
     def side(chunk: str, lineno: int) -> int:
         mask = sides.get(chunk)
         if mask is None:
-            mask = sides[chunk] = mask_of(_parse_side(chunk, path, lineno))
+            mask = sides[chunk] = mask_of((tok.strip() for tok in chunk.split(",") if tok.strip()), lineno)
         return mask
 
-    def given(chunk: str) -> int:
+    def given(chunk: str, lineno: int) -> int:
         mask = givens.get(chunk)
         if mask is None:
-            mask = givens[chunk] = mask_of(tok for part in chunk.split(",") for tok in part.split())
+            mask = givens[chunk] = mask_of((tok for part in chunk.split(",") for tok in part.split()), lineno)
         return mask
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -934,7 +934,7 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
             continue
         label = _node_declaration(body, declared, path, lineno)
         if label is not None:
-            mask_of((label,))
+            mask_of((label,), lineno)
             continue
         if SEPARATOR not in body:
             raise ParseError(f"expected a statement containing {SEPARATOR!r}", path=path, line=lineno)
@@ -943,7 +943,7 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
             b_part, c_part = right.split("|", 1)
         else:
             b_part, c_part = right, ""
-        am, bm, cm = side(left, lineno), side(b_part, lineno), given(c_part)
+        am, bm, cm = side(left, lineno), side(b_part, lineno), given(c_part, lineno)
         if not am or not bm:
             raise ParseError("both sides of a statement must be non-empty", path=path, line=lineno)
         if overlap is None and (am & bm) | (am & cm) | (bm & cm):
@@ -972,14 +972,6 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
     for k in range(0, len(raw), 3):
         _set_code(buf, code(remap(raw[k]), remap(raw[k + 1]), remap(raw[k + 2])))
     return IndependenceModel(ground, _members_of(buf))
-
-
-def _parse_side(chunk: str, path: str | None, lineno: int) -> tuple[str, ...]:
-    labels = tuple(tok.strip() for tok in chunk.split(",") if tok.strip())
-    for lab in labels:
-        if " " in lab or "\t" in lab:
-            raise ParseError(f"set element {lab!r} contains whitespace", path=path, line=lineno)
-    return labels
 
 
 def model_to_text(model: IndependenceModel) -> str:

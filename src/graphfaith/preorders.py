@@ -395,7 +395,8 @@ def parse_preorder_text(text: str, *, path: str | None = None) -> Preorder:
 
     The `order` lines must spell out the full strict relation (their
     transitive closure is not taken); transitivity is validated and
-    violations are reported with a witness.
+    violations are reported with a witness.  A line that orders two classes
+    the other way round from an earlier line is rejected.
     """
     classes: list[list[str]] = []
     member_class: dict[str, int] = {}
@@ -429,18 +430,15 @@ def parse_preorder_text(text: str, *, path: str | None = None) -> Preorder:
                 return k
         raise ParseError(f"unknown class reference {token!r}", path=path, line=lineno)
 
-    pairs: list[tuple[str, str]] = []
-    for cls_ in classes:
-        for a in cls_:
-            for b in cls_:
-                pairs.append((a, b))
+    related = {(x, x) for x in range(len(classes))}  # class x <= class y
     for lineno, xs, ys in order_lines:
         x, y = resolve(xs, lineno), resolve(ys, lineno)
         if x == y:
             raise ParseError("a class cannot be strictly below itself", path=path, line=lineno)
-        for a in classes[x]:
-            for b in classes[y]:
-                pairs.append((a, b))
+        if (y, x) in related:
+            raise ParseError(f"`order {xs} < {ys}` reverses an earlier order line", path=path, line=lineno)
+        related.add((x, y))
+    pairs = [(a, b) for x, y in related for a in classes[x] for b in classes[y]]
     ground = [lab for cls_ in classes for lab in cls_]
     try:
         return Preorder.from_pairs(ground, pairs)

@@ -1,7 +1,9 @@
 """CLI verbs: thin wrappers, exit codes, JSON schemas, file diagnostics."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,10 @@ import pytest
 
 from graphfaith.cli import run
 from graphfaith.faithfulness import decide_graphical
+from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_preorder
 from graphfaith.graphs import graph_to_text, induced_model, parse_graph_text, separates
 from graphfaith.models import model_to_text, parse_model_text
+from graphfaith.preorders import preorder_to_text
 
 ROOT = Path(__file__).resolve().parents[1]
 COLLIDER = "a -> c\nb -> c\n"
@@ -211,6 +215,42 @@ def test_stability_ground_mismatch_exit_2(files, tmp_path, capsys):
     code, out, err = invoke(capsys, "stability", "--model", files["coll.ci"], "--minimal-of", str(graph))
     assert (code, out) == (2, "")
     assert err == "error: graph has a semi-directed cycle b -> d -> a -> b; no valid preorder exists\n"
+
+
+# sha256 of the four `stability --json` outputs, joined, of five seeded
+# failing models: a flipped model of a random 5-node anterial graph, with
+# that graph for --minimal-of and a random preorder for --preorder.
+STABILITY_JSON = (
+    (1, "6a3b25a18d39f57ae04722814a75510edb1f5e0003ac553790eda77199cea82b"),
+    (3, "5e65705616bbef08322832572dc0a4fbddcb0e29a668136364393e79fc2cc572"),
+    (4, "e6e3506f8c7aa79f02b9b054ed46c216102c3ab68f0b6f09cbf92ef17ef07811"),
+    (6, "531de3131f7b13238466c91946bc7647d34ec9cb2e781332328b6ea0715eb60a"),
+    (8, "92bc187a7b5cd67e143c2744ae38cfd433e88eb6ecaa4d353b4f866e51b564e4"),
+)
+
+
+def test_stability_json_of_failing_models_pinned(tmp_path, capsys):
+    paths = {name: tmp_path / name for name in ("m.ci", "g.graph", "p.pre")}
+    modes = (
+        ("--trivial", "all-equivalent"),
+        ("--trivial", "all-incomparable"),
+        ("--preorder", str(paths["p.pre"])),
+        ("--minimal-of", str(paths["g.graph"])),
+    )
+    for seed, digest in STABILITY_JSON:
+        rng = random.Random(seed)
+        graph = random_anterial_graph(rng, "abcde", 0.5)
+        model = flip_one_elementary(rng, induced_model(graph))
+        paths["m.ci"].write_text(model_to_text(model))
+        paths["g.graph"].write_text(graph_to_text(graph))
+        paths["p.pre"].write_text(preorder_to_text(random_preorder(rng, model.ground)))
+        outs = []
+        for mode in modes:
+            code, out, _ = invoke(capsys, "stability", "--model", str(paths["m.ci"]), *mode, "--json")
+            assert code == (0 if all(r["passed"] for r in json.loads(out)["reports"]) else 1)
+            outs.append(out)
+        assert not json.loads(outs[0])["reports"][0]["passed"]
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
 
 def test_unknown_label_error_is_the_same_under_every_hash_seed(files):

@@ -1,9 +1,10 @@
 """The per-pair elementary table, pinned against the membership-lookup scans.
 
-Singleton-transitivity, both ordered stabilities and the skeleton read rows
-of `IndependenceModel._elementary`.  The references in conftest answer the
-same questions with one `_has` lookup per statement; every comparison here
-is an exact equality of violation lists, reports, pair sets or models.
+Singleton-transitivity, both ordered and both plain stabilities and the
+skeleton read rows of `IndependenceModel._elementary`.  The references in
+conftest answer the same questions with one `_has` lookup per statement;
+every comparison here is an exact equality of violation lists (in yield
+order), reports, pair sets or models.
 """
 
 import random
@@ -16,14 +17,18 @@ from graphfaith.gaussian import adjacency_weight_matrix, model_from_concentratio
 from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_connected_ug, random_preorder
 from graphfaith.graphs import induced_model
 from graphfaith.models import (
-    _iter_ordered_down_violations,
-    _iter_ordered_up_violations,
     _iter_singleton_transitivity_violations,
     _iter_subsets,
+    _ordered_down_breaks,
+    _ordered_up_breaks,
+    _plain_breaks,
     _reduce,
+    _sorted_labels,
+    check_downward_stability,
     check_ordered_downward_stability,
     check_ordered_upward_stability,
     check_singleton_transitivity,
+    check_upward_stability,
     model_from_elementary,
     skeleton_pairs,
 )
@@ -53,6 +58,15 @@ def assert_table_matches_lookups(model):
     assert skeleton_pairs(model) == frozenset((g[i], g[j]) for (i, j), row in table.items() if not row)
 
 
+def witnesses(model, name, breaks):
+    """(i, j, C, k) breaks as the (axiom, witness) pairs of the references."""
+    g = model.ground
+    return [
+        (name, {"i": g[i], "j": g[j], "C": list(_sorted_labels(model, cm)), "k": g[k]})
+        for i, j, cm, k in breaks
+    ]
+
+
 def assert_scans_match_references(model, preorders):
     """Returns the number of violations found per scan, over all preorders."""
     new = list(_iter_singleton_transitivity_violations(model))
@@ -63,18 +77,29 @@ def assert_scans_match_references(model, preorders):
     found = {"singleton-transitivity": len(old)}
     for p in preorders:
         for scan, reference, check, name in (
-            (_iter_ordered_up_violations, reference_ordered_up_violations,
+            (_ordered_up_breaks, reference_ordered_up_violations,
              check_ordered_upward_stability, "ordered-upward-stability"),
-            (_iter_ordered_down_violations, reference_ordered_down_violations,
+            (_ordered_down_breaks, reference_ordered_down_violations,
              check_ordered_downward_stability, "ordered-downward-stability"),
         ):
-            new = list(scan(model, p))
             old = list(reference(model, p))
-            assert new == old
+            assert witnesses(model, name, scan(model, p)) == old
             report = check(model, p)
             assert report == _reduce(name, (name,), old)
             assert report.count == len(old)
             found[name] = found.get(name, 0) + len(old)
+    # The plain stabilities are the ordered ones under the trivial preorders.
+    ground = model.ground
+    for upward, reference, check, name, trivial in (
+        (True, reference_ordered_up_violations, check_upward_stability,
+         "upward-stability", Preorder.all_equivalent(ground)),
+        (False, reference_ordered_down_violations, check_downward_stability,
+         "downward-stability", Preorder.all_incomparable(ground)),
+    ):
+        old = [(name, w) for _, w in reference(model, trivial)]
+        assert witnesses(model, name, _plain_breaks(model, upward)) == old
+        assert check(model) == _reduce(name, (name,), old)
+        found[name] = found.get(name, 0) + len(old)
     return found
 
 
@@ -108,7 +133,7 @@ def test_scans_match_references_on_graph_models_and_flips():
             for name, count in assert_scans_match_references(model, preorders).items():
                 found[name] = found.get(name, 0) + count
     # every scan reaches its violating branch on these inputs
-    assert len(found) == 3 and all(found.values()), found
+    assert len(found) == 5 and all(found.values()), found
 
 
 def test_table_rebuilds_graph_and_gaussian_models():

@@ -237,6 +237,21 @@ def test_concentration_role_matches_inverse():
     assert model_from_concentration(k) == model_from_covariance(inverse(k))
 
 
+def test_seeded_concentration_models_match_their_inverses():
+    # The concentration route checks K and skips the repeated checks of its
+    # inverse; the model must be the one the covariance route gives.
+    rng = random.Random(41)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        ug = random_connected_ug(rng, LABELS[:n], 0.4)
+        k = adjacency_weight_matrix(ug, Fraction(-1, rng.randint(n, 3 * n)))
+        # unequal diagonal weights, still diagonally dominant
+        extra = [rng.randint(0, 3) for _ in range(n)]
+        k = RationalMatrix.from_rows(k.labels, [[x + extra[i] * (i == j) for j, x in enumerate(row)]
+                                                for i, row in enumerate(k.rows)])
+        assert model_from_concentration(k) == model_from_covariance(inverse(k))
+
+
 def test_model_from_covariance_unsorted_labels():
     m = RationalMatrix.from_rows(("b", "a"), [[1, 0], [0, 1]])
     j = model_from_covariance(m)

@@ -448,6 +448,17 @@ def test_graph_text_round_trip_node_labelled_node():
         parse_graph_text("node a b")
 
 
+def test_graph_text_rejects_labels_the_model_text_cannot_carry():
+    # `x,y -- z` once gave the model statement `w _||_ x,y`, which re-parses
+    # over the ground (w, x, y, z).
+    with pytest.raises(ParseError, match="label 'x,y': a label must be non-empty") as info:
+        parse_graph_text("w -- z\nx,y -- z\n", path="g.graph")
+    assert info.value.line == 2
+    with pytest.raises(ParseError, match="label 'x\\|y'") as info:
+        parse_graph_text("node x|y\n")
+    assert info.value.line == 1
+
+
 def test_graph_text_line_order_stability():
     text = "node z\na -> b\nb -- c\n"
     assert sorted(graph_to_text(parse_graph_text(text)).splitlines()) == sorted(text.splitlines())

@@ -1,13 +1,15 @@
 """Independence models: membership, axiom checkers, stabilities, alpha operator."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphfaith.errors import CapExceededError, ModelError, ParseError
-from graphfaith.generate import random_anterial_graph, random_dag
+from graphfaith.faithfulness import restricted_graphical
+from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_dag
 from graphfaith.graphs import MixedGraph, induced_model, parse_graph_text
 from graphfaith.models import (
     IndependenceModel,
@@ -244,12 +246,55 @@ def test_stability_vacuous_under_all_incomparable():
 
 @given(small_models(max_nodes=4))
 def test_plain_stabilities_equal_trivial_preorders(j):
-    up = check_upward_stability(j)
     up_ordered = check_ordered_upward_stability(j, Preorder.all_equivalent(j.ground))
-    assert up.passed == up_ordered.passed and up.count == up_ordered.count
-    down = check_downward_stability(j)
+    assert check_upward_stability(j) == replace(up_ordered, property_name="upward-stability")
     down_ordered = check_ordered_downward_stability(j, Preorder.all_incomparable(j.ground))
-    assert down.passed == down_ordered.passed and down.count == down_ordered.count
+    assert check_downward_stability(j) == replace(down_ordered, property_name="downward-stability")
+
+
+def test_plain_stabilities_build_no_preorder(monkeypatch):
+    rng = random.Random(3)
+    models = []
+    for _ in range(12):
+        graph = random_anterial_graph(rng, LABELS[: rng.randint(3, 5)], 0.5)
+        models += [induced_model(graph), flip_one_elementary(rng, induced_model(graph))]
+    models += [induced_model(g("a -- b\nb -- c\nc -- d")), induced_model(g("a <-> b\nb <-> c\nc <-> d"))]
+
+    def answers():
+        return [
+            (check_upward_stability(m), check_downward_stability(m),
+             restricted_graphical(m, "UG"), restricted_graphical(m, "BG"))
+            for m in models
+        ]
+
+    expected = answers()
+    assert any(not up.passed for up, _, _, _ in expected) and any(not down.passed for _, down, _, _ in expected)
+    assert any(ug.graphical for _, _, ug, _ in expected) and any(bg.graphical for _, _, _, bg in expected)
+
+    def no_preorder(cls, ground):
+        raise AssertionError("a trivial preorder was built")
+
+    monkeypatch.setattr(Preorder, "all_equivalent", classmethod(no_preorder))
+    monkeypatch.setattr(Preorder, "all_incomparable", classmethod(no_preorder))
+    assert answers() == expected
+
+
+def test_stability_checks_cap_and_ground_before_the_table(monkeypatch):
+    def no_table(self):
+        raise AssertionError("the stability table was built")
+
+    monkeypatch.setattr(IndependenceModel, "_stability_table", property(no_table))
+    j = model("abcd", ({"a"}, {"c"}, set()))
+    for check in (check_upward_stability, check_downward_stability):
+        with pytest.raises(CapExceededError):
+            check(j, cap=3)
+    for check in (check_ordered_upward_stability, check_ordered_downward_stability):
+        with pytest.raises(CapExceededError):
+            check(j, Preorder.all_equivalent(j.ground), cap=3)
+        with pytest.raises(CapExceededError):  # the cap is checked before the ground
+            check(j, Preorder.all_equivalent("abz"), cap=3)
+        with pytest.raises(ModelError, match="ground"):
+            check(j, Preorder.all_equivalent("abz"))
 
 
 def test_preorder_ground_mismatch():
@@ -460,6 +505,23 @@ def test_model_text_errors():
         parse_model_text("a _||_ a | b")
     with pytest.raises(ParseError, match="non-empty"):
         parse_model_text("a _||_ | b")
+
+
+def test_model_text_rejects_a_bar_inside_a_side():
+    # `z|x _||_ b` printed as `b _||_ z|x`, which re-parses over {b, x, z}.
+    with pytest.raises(ParseError, match="label 'z\\|x': a label must be non-empty") as info:
+        parse_model_text("a _||_ b\nz|x _||_ b\n", path="m.ci")
+    assert info.value.line == 2
+    with pytest.raises(ParseError, match="label 'a,b'") as info:
+        parse_model_text("node a,b\n")
+    assert info.value.line == 1
+
+
+def test_model_text_rejects_a_second_bar():
+    # `a _||_ b | c | d` made `|` a node of the given set.
+    with pytest.raises(ParseError, match="label '\\|'") as info:
+        parse_model_text("a _||_ b | c | d\n", path="m.ci")
+    assert info.value.line == 1
 
 
 def test_model_text_isolated_nodes_survive():

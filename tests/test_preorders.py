@@ -368,3 +368,11 @@ def test_preorder_text_errors():
         parse_preorder_text("order a b\n")
     with pytest.raises(ParseError, match="not transitive"):
         parse_preorder_text("class a\nclass b\nclass c\norder a < b\norder b < c\n")
+
+
+def test_preorder_text_rejects_opposite_order_lines():
+    # Both lines together once parsed to the one class {a, b}.
+    for text in ("class a\nclass b\norder a < b\norder b < a\n", "class a\nclass b\norder 1 < 2\norder b < 1\n"):
+        with pytest.raises(ParseError, match="reverses an earlier order line") as info:
+            parse_preorder_text(text, path="p.pre")
+        assert info.value.line == 4 and str(info.value).startswith("p.pre:4: `order ")
