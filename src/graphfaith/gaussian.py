@@ -1,23 +1,27 @@
 """Exact Gaussian conditional independence from rational covariance matrices.
 
-Everything here is exact over the rationals: faithfulness is a zero/nonzero
-dichotomy, so a floating-point test of a partial covariance would make the
-axiom checkers unsound.  Decimal input is parsed to exact fractions.
+Everything here is exact: faithfulness is a zero/nonzero dichotomy, so a
+floating-point test of a partial covariance would make the axiom checkers
+unsound.  Decimal input is parsed to exact fractions, and each row is scaled to
+int by the lcm of its denominators for Bareiss's fraction-free elimination
+(*Sylvester's identity and multistep integer-preserving Gaussian elimination*,
+1968); row scaling multiplies a minor by its rows' scales, never zeroes it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MatrixError, ParseError
 from .graphs import LINE, MixedGraph
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, _require_label, elementary_table, model_from_elementary
+from .models import IndependenceModel, _require_label, model_from_elementary
 
 
 @dataclass(frozen=True)
@@ -69,46 +73,56 @@ class RationalMatrix:
         )
 
 
-def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One exact Gauss-Jordan step on the nonzero entry rows[r][c], in place:
-    row r is scaled to a unit pivot and column c is cleared from every other
-    row.  Rows are replaced, never mutated, so a shallow copy of `rows` keeps
-    the unpivoted matrix intact."""
-    p = rows[r][c]
-    pivot_row = rows[r] = [x / p for x in rows[r]]
-    for i, row in enumerate(rows):
-        factor = row[c]
-        if factor and i != r:
-            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+def _integer(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Each row's lcm of denominators, and each row times its lcm, as int."""
+    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return dens, [[x.numerator * (d // x.denominator) for x in row] for d, row in zip(dens, rows)]
 
 
-def _reduce(rows: list[list[Fraction]]) -> Fraction:
-    """Gauss-Jordan on the leading square block of `rows`, in place, swapping
-    rows to a nonzero pivot; returns the block's determinant, or 0 (with
-    elimination stopped) when it is singular."""
-    det = Fraction(1)
-    for c in range(len(rows)):
-        r = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+def _bareiss(rows: list[list[int]], k: int, prev: int, targets: Sequence[int], cols: Iterable[int]) -> None:
+    """Bareiss's step on the pivot p = rows[k][k] after the pivot prev: entry
+    (x, y) becomes (p*a_xy - a_xk*a_ky) // prev for x in `targets`, y in `cols`.
+    Rows are replaced, not mutated, so a shallow copy keeps the parent intact."""
+    pivot_row = rows[k]
+    p = pivot_row[k]
+    for x in targets:
+        row = rows[x]
+        f = row[k]
+        new = rows[x] = row[:]
+        for y in cols:
+            new[y] = (p * row[y] - f * pivot_row[y]) // prev
+
+
+def _eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan on the leading square block A of `rows`, in
+    place, swapping rows to a nonzero pivot; det A, or 0 (stopped) if singular.
+    Column c takes one Bareiss step on every other row.  A swap reorders only
+    rows not yet pivoted, so a row holds minors of the reordered PA as in
+    `_walk`, or, once pivoted, p times a Cramer solution: all divisions are
+    exact.  At the end A is p*I, p the last pivot, and columns B after it p*A^-1 B."""
+    n = len(rows)
+    sign = prev = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c]), None)
         if r is None:
-            return Fraction(0)
+            return 0
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
-            det = -det
-        det *= rows[c][c]
-        _pivot(rows, c, c)
-    return det
+            sign = -sign
+        _bareiss(rows, c, prev, [x for x in range(n) if x != c], range(len(rows[c])))
+        prev = rows[c][c]
+    return sign * prev
 
 
 def leading_principal_minors(m: RationalMatrix) -> list[Fraction]:
     """Determinants of the top-left k x k blocks, k = 1..n, computed exactly."""
-    return [_reduce([list(row[:k]) for row in m.rows[:k]]) for k in range(1, m.n + 1)]
+    dens, a = _integer(m.rows)
+    return [Fraction(_eliminate([row[:k] for row in a[:k]]), math.prod(dens[:k])) for k in range(1, m.n + 1)]
 
 
 def is_positive_definite(m: RationalMatrix) -> bool:
     """All leading principal minors strictly positive (exact)."""
-    if not m.is_symmetric():
-        return False
-    return all(minor > 0 for minor in leading_principal_minors(m))
+    return m.is_symmetric() and all(minor > 0 for minor in leading_principal_minors(m))
 
 
 def is_m_matrix(m: RationalMatrix) -> bool:
@@ -124,89 +138,87 @@ def is_m_matrix(m: RationalMatrix) -> bool:
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact Gauss-Jordan inverse; raises on singular input."""
+    """Exact inverse, the adjugate over the determinant; raises on singular input."""
     n = m.n
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
-    if _reduce(rows) == 0:
+    dens, a = _integer(m.rows)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if _eliminate(rows) == 0:
         raise MatrixError("matrix is singular")
-    return RationalMatrix(m.labels, tuple(tuple(row[n:]) for row in rows))
+    # rows is [p*I | p * a^-1] for the last pivot p, and m^-1 = a^-1 diag(dens).
+    inv = tuple(tuple(Fraction(x * d, row[i]) for x, d in zip(row[n:], dens)) for i, row in enumerate(rows))
+    return RationalMatrix(m.labels, inv)
 
 
 def partial_covariance(m: RationalMatrix, i: int, j: int, given: Sequence[int]) -> Fraction:
     """sigma_ij - sigma_iC (sigma_CC)^-1 sigma_Cj, exactly, as the Schur
     determinant ratio det[[sigma_ij, sigma_iC], [sigma_Cj, sigma_CC]] / det sigma_CC."""
-    block = _reduce([[m.rows[r][c] for c in given] for r in given])
+    dens, a = _integer([[m.rows[r][c] for c in [j, *given]] for r in [i, *given]])
+    block = _eliminate([row[1:] for row in a[1:]])
     if block == 0:
         raise MatrixError("conditioning block of the covariance is singular")
-    bordered = _reduce([[m.rows[r][c] for c in [j, *given]] for r in [i, *given]])
-    return bordered / block
+    return Fraction(_eliminate(a), block * dens[0])
 
 
-def _require_positive_definite(m: RationalMatrix, role: str) -> None:
-    """Raise naming the first leading principal minor that is not positive."""
-    for k, minor in enumerate(leading_principal_minors(m)):
-        if minor <= 0:
-            raise MatrixError(
-                f"{role} is not positive definite: leading principal minor {k + 1} is {minor}"
-            )
+def _walk(rows: list[list[int]], dm: int = 0, prev: int = 1) -> Iterator[tuple[int, list[int], list[list[int]]]]:
+    """(D, rest, rows) for every mask D over the nodes of an int matrix a, a
+    positive definite one with scaled rows, depth first: rest lists the nodes
+    outside D; rows[x][y], x, y in rest, is m_xy = det a[D+x, D+y] (D, then x, y).
+    The child D + {k}, k above D's highest node, takes one Bareiss step on the
+    pivot p = m_kk > 0 after prev = det a[D, D], on the entries outside D + {k}.
+    It is exact by Sylvester's identity: with the Schur complements
+    s_uv = a_uv - a[u, D] a[D, D]^-1 a[D, v] = m_uv / prev, the 2x2 Schur complement
+    of a[D, D] in a[D+k+x, D+k+y] gives that minor as
+    prev * (s_kk*s_xy - s_xk*s_ky) = (p*m_xy - m_xk*m_ky) / prev.  A row of D keeps
+    its minors over the part of D below its node; they are no minors over D."""
+    rest = [x for x in range(len(rows)) if not dm >> x & 1]
+    yield dm, rest, rows
+    for k in range(dm.bit_length(), len(rows)):
+        others = [x for x in rest if x != k]
+        child = list(rows)
+        _bareiss(child, k, prev, others, others)
+        yield from _walk(child, dm | 1 << k, rows[k][k])
 
 
-def model_from_covariance(
-    sigma: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes
-) -> IndependenceModel:
+def model_from_covariance(sigma: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes) -> IndependenceModel:
     """The independence model of the regular Gaussian with this covariance.
+    <x,y|C> holds exactly when the partial covariance, a positive multiple of
+    m_xy at D = C in `_walk`, is zero; set statements follow by composition and
+    decomposition, which regular Gaussian models satisfy."""
+    return _model(sigma, "covariance", cap, jacobi=False)
 
-    An elementary statement holds exactly when the partial covariance is
-    zero; set statements follow from their elementary ones, which is valid
-    because regular Gaussian models satisfy composition and decomposition.
-    """
-    if sigma.n > cap:
-        raise MatrixError(f"matrix has {sigma.n} rows, above the cap {cap}")
-    bad = sigma._asymmetric_pair()
+
+def model_from_concentration(k_matrix: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes) -> IndependenceModel:
+    """Same, with the matrix K read as a concentration, and never inverted.
+    <x,y|C> holds exactly when m_xy over K at D = V - C - {x, y} is zero (Jacobi):
+    with T = C + {x, y}, the covariance of x, y given C inverts the 2x2 block at
+    x, y of the marginal concentration (K^-1[T, T])^-1 = K[T, T] - K[T, D] K[D, D]^-1
+    K[D, T], whose entry (x, y) is det K[D+x, D+y] / det K[D, D]; a 2x2 positive
+    definite matrix and its inverse are diagonal together."""
+    return _model(k_matrix, "concentration", cap, jacobi=True)
+
+
+def _model(m: RationalMatrix, role: str, cap: int, *, jacobi: bool) -> IndependenceModel:
+    """Check the cap, symmetry and positive definiteness, then read the walk."""
+    n = m.n
+    if n > cap:
+        raise MatrixError(f"matrix has {n} rows, above the cap {cap}")
+    bad = m._asymmetric_pair()
     if bad is not None:
-        raise MatrixError(
-            f"covariance must be symmetric; entries ({sigma.labels[bad[0]]},{sigma.labels[bad[1]]}) differ"
-        )
-    _require_positive_definite(sigma, "covariance")
-    return _covariance_model(sigma)
-
-
-def _covariance_model(sigma: RationalMatrix) -> IndependenceModel:
-    """The model of a symmetric positive definite covariance: one checked by
-    the caller, or the exact inverse of a checked concentration."""
-    n = sigma.n
-    order = sorted(range(n), key=lambda r: sigma.labels[r])
-    ground = tuple(sigma.labels[r] for r in order)
-    zero: set[tuple[int, int, int]] = set()
-
-    def walk(cm: int, rows: list[list[Fraction]]) -> None:
-        # rows is sigma pivoted on C: entry (a, b) with a, b outside C is the
-        # partial covariance of a and b given C.  Children add a node above
-        # C's highest, each with one diagonal pivot, positive since sigma is PD.
-        rest = [a for a in range(n) if not cm >> a & 1]
-        zero.update((a, b, cm) for x, a in enumerate(rest) for b in rest[x + 1 :] if rows[a][b] == 0)
-        for k in range(cm.bit_length(), n):
-            child = list(rows)
-            _pivot(child, k, k)
-            walk(cm | 1 << k, child)
-
-    walk(0, [[sigma.rows[r][c] for c in order] for r in order])
-    return model_from_elementary(ground, elementary_table(n, lambda a, b, cm: (a, b, cm) in zero))
-
-
-def model_from_concentration(
-    k_matrix: RationalMatrix, *, cap: int = DEFAULT_CAPS.model_nodes
-) -> IndependenceModel:
-    """Same, with the matrix read as a concentration (inverse covariance).
-
-    K is checked before it is inverted: it is positive definite exactly when
-    its inverse is, and an error should name the matrix the caller gave."""
-    if not k_matrix.is_symmetric():
-        raise MatrixError("concentration matrix must be symmetric")
-    if k_matrix.n > cap:
-        raise MatrixError(f"matrix has {k_matrix.n} rows, above the cap {cap}")
-    _require_positive_definite(k_matrix, "concentration")
-    return _covariance_model(inverse(k_matrix))
+        raise MatrixError(f"{role} must be symmetric; entries ({m.labels[bad[0]]},{m.labels[bad[1]]}) differ")
+    for k, minor in enumerate(leading_principal_minors(m), start=1):
+        if minor <= 0:
+            raise MatrixError(f"{role} is not positive definite: leading principal minor {k} is {minor}")
+    a = _integer(m.rows)[1]
+    order = sorted(range(n), key=lambda r: m.labels[r])
+    full = (1 << n) - 1
+    table = {(x, y): 0 for x in range(n) for y in range(x + 1, n)}
+    for dm, rest, rows in _walk([[a[r][c] for c in order] for r in order]):
+        for i, x in enumerate(rest):
+            row = rows[x]
+            for y in rest[i + 1 :]:
+                if not row[y]:
+                    table[(x, y)] |= 1 << (full ^ dm ^ 1 << x ^ 1 << y if jacobi else dm)
+    return model_from_elementary(tuple(m.labels[r] for r in order), table)
 
 
 def adjacency_weight_matrix(g: MixedGraph, eps: Fraction | int | str) -> RationalMatrix:
@@ -265,7 +277,10 @@ def parse_matrix_csv(text: str, *, path: str | None = None) -> RationalMatrix:
             raise ParseError(f"expected {n} entries, found {len(cells)}", path=path, line=lineno)
         parsed = []
         for cell in cells:
-            try:
+            _, exp_mark, exponent = cell.upper().partition("E")
+            try:  # Fraction would build 10**exponent: bound it as int() bounds digits
+                if exp_mark and abs(int(exponent)) > 4300:
+                    raise ValueError(cell)
                 parsed.append(Fraction(cell))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"cannot parse entry {cell!r} as a rational", path=path, line=lineno)

@@ -628,7 +628,10 @@ def parse_graph_text(text: str, *, path: str | None = None) -> MixedGraph:
 
 def graph_to_text(g: MixedGraph) -> str:
     """Serialize; `node` lines appear only for isolated nodes, so that
-    parse(serialize(g)) == g and serialize(parse(t)) == t up to line order."""
+    parse(serialize(g)) == g and serialize(parse(t)) == t up to line order.  A
+    label that the parser would reject raises its ParseError here."""
+    for label in sorted(g.nodes):
+        _require_label(label, f"label {label!r}", None, None)
     used = {n for e in g.edges for n in (e.u, e.v)}
     lines_out = [f"node {lab}" for lab in sorted(g.nodes - used)]
     lines_out += [f"{e.u} {e.kind} {e.v}" for e in g.edges]

@@ -965,8 +965,11 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
 
 
 def model_to_text(model: IndependenceModel) -> str:
-    """Serialize; `node` lines appear only for labels in no statement."""
+    """Serialize; `node` lines appear only for labels in no statement.  A label
+    that the parser would reject raises its ParseError here."""
     ground = model.ground
+    for label in ground:
+        _require_label(label, f"label {label!r}", None, None)
     names: dict[int, tuple[str, ...]] = {}  # mask -> its labels, sorted as the ground is
 
     def labels(mask: int) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import hypothesis
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from graphfaith.models import (
     _iter_bits,
     _iter_subsets,
     _sorted_labels,
+    elementary_table,
+    model_from_elementary,
     skeleton_pairs,
 )
 
@@ -486,6 +489,76 @@ def reference_partial_covariance(m, i, j, given):
     for idx, r in enumerate(given):
         acc -= m.rows[i][r] * x[idx]
     return acc
+
+
+def _pivot(rows, r, c):
+    """One exact Gauss-Jordan step on the nonzero Fraction entry rows[r][c], in
+    place: row r is scaled to a unit pivot and column c is cleared from every
+    other row.  Rows are replaced, never mutated, so a shallow copy of `rows`
+    keeps the unpivoted matrix intact."""
+    p = rows[r][c]
+    pivot_row = rows[r] = [x / p for x in rows[r]]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if factor and i != r:
+            rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+
+
+def _reduce(rows):
+    """Gauss-Jordan over Fraction on the leading square block of `rows`, in
+    place, swapping rows to a nonzero pivot; returns the block's determinant,
+    or 0 (with elimination stopped) when it is singular."""
+    det = Fraction(1)
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= rows[c][c]
+        _pivot(rows, c, c)
+    return det
+
+
+def reference_det(rows):
+    """The determinant of a square matrix of ints or Fractions, over Fraction."""
+    return _reduce([[Fraction(x) for x in row] for row in rows])
+
+
+def reference_leading_minors(m):
+    return [reference_det([row[:k] for row in m.rows[:k]]) for k in range(1, m.n + 1)]
+
+
+def reference_inverse_rows(m):
+    """The rows of m's inverse by Gauss-Jordan over Fraction on [m | I], or None
+    when m is singular."""
+    n = m.n
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
+    if _reduce(rows) == 0:
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def reference_covariance_model(sigma):
+    """The model of a symmetric positive definite covariance by the Fraction
+    sweep: a depth-first walk over the conditioning sets C with one diagonal
+    `_pivot` per C, where entry (a, b) outside C is the partial covariance."""
+    n = sigma.n
+    order = sorted(range(n), key=lambda r: sigma.labels[r])
+    zero = set()
+
+    def walk(cm, rows):
+        rest = [a for a in range(n) if not cm >> a & 1]
+        zero.update((a, b, cm) for x, a in enumerate(rest) for b in rest[x + 1 :] if rows[a][b] == 0)
+        for k in range(cm.bit_length(), n):
+            child = list(rows)
+            _pivot(child, k, k)
+            walk(cm | 1 << k, child)
+
+    walk(0, [[sigma.rows[r][c] for c in order] for r in order])
+    ground = tuple(sigma.labels[r] for r in order)
+    return model_from_elementary(ground, elementary_table(n, lambda a, b, cm: (a, b, cm) in zero))
 
 
 def reference_singleton_transitivity_violations(model: IndependenceModel):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphfaith.gaussian as gaussian
 from graphfaith.errors import MatrixError, ParseError
 from graphfaith.faithfulness import is_faithful
 from graphfaith.gaussian import (
     RationalMatrix,
+    _integer,
+    _walk,
     adjacency_weight_matrix,
     inverse,
     is_m_matrix,
@@ -35,7 +38,14 @@ from graphfaith.models import (
     skeleton_pairs,
 )
 
-from conftest import LABELS, reference_partial_covariance
+from conftest import (
+    LABELS,
+    reference_covariance_model,
+    reference_det,
+    reference_inverse_rows,
+    reference_leading_minors,
+    reference_partial_covariance,
+)
 
 UNFAITHFUL_COV = RationalMatrix.from_rows(
     ("1", "2", "3", "4"),
@@ -218,8 +228,6 @@ def test_covariance_must_be_pd_with_failing_minor():
 def test_concentration_checked_before_inversion(monkeypatch):
     # The error names the concentration and K's own minor (1 - 4), not a
     # minor of the inverse; neither the cap nor the minors need the inverse.
-    import graphfaith.gaussian as gaussian
-
     def no_inverse(m):
         raise AssertionError("K was inverted before it was checked")
 
@@ -230,6 +238,9 @@ def test_concentration_checked_before_inversion(monkeypatch):
     assert str(info.value) == "concentration is not positive definite: leading principal minor 2 is -3"
     with pytest.raises(MatrixError, match="matrix has 3 rows, above the cap 2"):
         model_from_concentration(RationalMatrix.identity(("a", "b", "c")), cap=2)
+    # A checked K is never inverted: its model is read off K itself.
+    k = adjacency_weight_matrix(g("1 -- 2\n2 -- 3"), Fraction(-1, 10))
+    assert model_from_concentration(k).contains({"1"}, {"3"}, {"2"})
 
 
 def test_concentration_role_matches_inverse():
@@ -353,6 +364,148 @@ def test_walk_matches_references_on_sparse_gram_matrices():
     assert zeros > 0
 
 
+# -- the integer core against the Fraction oracles ----------------------------------------
+
+
+def _assert_matches_oracles(m, *, minor_samples=0, rng=None):
+    """Every public value of the integer core on the symmetric positive
+    definite m equals the Fraction oracles', m read as a covariance and as a
+    concentration, and so does its inverse read both ways."""
+    inv_rows = reference_inverse_rows(m)
+    inv = RationalMatrix(m.labels, inv_rows)
+    assert inverse(m) == inv and inverse(inv).rows == m.rows
+    for mat in (m, inv):
+        assert leading_principal_minors(mat) == reference_leading_minors(mat)
+        assert is_positive_definite(mat)
+    model, inv_model = reference_covariance_model(m), reference_covariance_model(inv)
+    assert model_from_covariance(m) == model_from_concentration(inv) == model
+    assert model_from_covariance(inv) == model_from_concentration(m) == inv_model
+    for _ in range(minor_samples if m.n > 1 else 0):
+        i, j = rng.sample(range(m.n), 2)
+        given = [k for k in range(m.n) if k not in (i, j) and rng.random() < 0.5]
+        assert partial_covariance(m, i, j, given) == reference_partial_covariance(m, i, j, given)
+    return model, inv_model
+
+
+def _assert_walk_states_are_minors(m):
+    """At every state D of the walk over the scaled m in sorted label order,
+    entry (x, y) outside D is det a[D+x, D+y], so every floor division was
+    exact; a row of D is the row its node had when it was pivoted."""
+    order = sorted(range(m.n), key=lambda r: m.labels[r])
+    a = _integer([[m.rows[r][c] for c in order] for r in order])[1]
+    states = {}
+    for dm, rest, rows in _walk(a):
+        states[dm] = rows
+        d = list(_iter_bits(dm))
+        assert rest == [x for x in range(m.n) if x not in d]
+        for x in rest:
+            for y in rest:
+                assert rows[x][y] == reference_det([[a[r][c] for c in [*d, y]] for r in [*d, x]])
+        for x in d:
+            assert rows[x] == states[dm & ((1 << x) - 1)][x]
+    assert len(states) == 1 << m.n
+
+
+def _ug8_concentration(seed):
+    graph = random_connected_ug(random.Random(seed), tuple("abcdefgh"), 0.1)
+    return adjacency_weight_matrix(graph, "-1/10")
+
+
+def test_integer_core_matches_oracles_on_ug8_concentrations():
+    # The inputs of the gaussian_ug8 benchmark workload's kind, as K and as Sigma.
+    conditional = 0
+    for seed in range(1, 41):
+        model, inv_model = _assert_matches_oracles(_ug8_concentration(seed))
+        conditional += _conditional_zeros(model._elementary) + _conditional_zeros(inv_model._elementary)
+    assert conditional > 0
+
+
+def test_integer_core_matches_oracles_on_dense_rational_covariances():
+    rng = random.Random(8)
+    for _ in range(10):
+        b = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)] for _ in range(8)]
+        rows = [
+            [sum(b[i][k] * b[j][k] for k in range(8)) + Fraction(int(i == j), rng.randint(1, 5)) for j in range(8)]
+            for i in range(8)
+        ]
+        _assert_matches_oracles(RationalMatrix.from_rows(tuple("hgfedcba"), rows), minor_samples=20, rng=rng)
+
+
+@st.composite
+def sparse_pd_matrices(draw, max_nodes=5):
+    """B B^T + D over small rationals with a sparse B: zero entries and zero
+    partial covariances given non-empty sets."""
+    n = draw(st.integers(1, max_nodes))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+    b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.sampled_from([1, 2, Fraction(1, 3)])) for _ in range(n)]
+    rows = [[sum(b[i][k] * b[j][k] for k in range(n)) + diag[i] * (i == j) for j in range(n)] for i in range(n)]
+    return RationalMatrix.from_rows(draw(st.permutations(LABELS))[:n], rows)
+
+
+@given(sparse_pd_matrices(), st.integers(0, 2**30))
+def test_integer_core_matches_oracles_on_sparse_pd_matrices(m, seed):
+    _assert_matches_oracles(m, minor_samples=5, rng=random.Random(seed))
+    _assert_walk_states_are_minors(m)
+    _assert_walk_states_are_minors(inverse(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        RationalMatrix.identity(()),
+        RationalMatrix.identity(("a",)),
+        RationalMatrix.from_rows(("a",), [["7/3"]]),
+        UNFAITHFUL_COV,
+        RationalMatrix.from_rows(("a", "b", "c"), [["0.5", "0.125", 0], ["0.125", "2.5e-1", "1e-3"], [0, "1e-3", 1]]),
+        RationalMatrix.from_rows(
+            ("b", "a", "c"),
+            [[Fraction(1, 10**30 + 7), 0, Fraction(1, 2**70)], [0, "3/1000003", 0], [Fraction(1, 2**70), 0, 1]],
+        ),
+    ],
+)
+def test_integer_core_matches_oracles_on_edge_cases(m):
+    _assert_matches_oracles(m)
+    _assert_walk_states_are_minors(m)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_states_are_minors_on_ug8_concentrations(seed):
+    _assert_walk_states_are_minors(_ug8_concentration(seed))
+
+
+def test_determinants_match_oracles_with_row_swaps_and_singular_blocks():
+    # Leading blocks that are singular, or need a swap, and singular inverses.
+    rng = random.Random(62)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = RationalMatrix.from_rows(
+            LABELS[:n], [[rng.choice((0, 0, 0, 1, -2, Fraction(3, 4))) for _ in range(n)] for _ in range(n)]
+        )
+        assert leading_principal_minors(m) == reference_leading_minors(m)
+        expected = reference_inverse_rows(m)
+        if expected is None:
+            with pytest.raises(MatrixError, match="matrix is singular"):
+                inverse(m)
+        else:
+            assert inverse(m).rows == expected
+
+
+def test_concentration_asymmetry_names_the_pair():
+    k = RationalMatrix.from_rows(("b", "a", "c"), [[1, 0, 0], [0, 1, "1/2"], [0, "1/3", 1]])
+    with pytest.raises(MatrixError) as info:
+        model_from_concentration(k)
+    assert str(info.value) == "concentration must be symmetric; entries (a,c) differ"
+
+
+@pytest.mark.parametrize("build", [model_from_covariance, model_from_concentration])
+def test_cap_is_checked_before_symmetry(build):
+    asymmetric = RationalMatrix.from_rows(("a", "b", "c"), [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(MatrixError) as info:
+        build(asymmetric, cap=2)
+    assert str(info.value) == "matrix has 3 rows, above the cap 2"
+
+
 # -- CSV format -----------------------------------------------------------------------------
 
 
@@ -375,6 +528,25 @@ def test_matrix_csv_errors():
         parse_matrix_csv("a,b\n1\n0,1\n")
     with pytest.raises(ParseError, match="rational"):
         parse_matrix_csv("a,b\n1,x\n0,1\n")
+
+
+def test_matrix_csv_bounds_decimal_exponents_before_building_them(monkeypatch):
+    # 1e999999999 is six characters of exponent; Fraction would compute
+    # 10**999999999.  The bound is the int-string digit limit, 4300.
+    built = []
+
+    def recording_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(gaussian, "Fraction", recording_fraction)
+    for cell in ("1e999999999", "2.5E-999999999", "1e4301", "-1e+4301", "1E-4301"):
+        with pytest.raises(ParseError) as info:
+            parse_matrix_csv(f"a,b\n1,0\n0,{cell}\n", path="m.csv")
+        assert str(info.value) == f"m.csv:3: cannot parse entry {cell!r} as a rational"
+        assert (cell,) not in built
+    m = parse_matrix_csv("a,b\n1e4300,0\n0,-1.5E-4300\n")
+    assert m.rows == ((Fraction(10**4300), 0), (0, Fraction(-3, 2 * 10**4300)))
 
 
 @pytest.mark.parametrize("label", ["", "b x", "#b", "a|b", "a,b", "x\ty"])

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from graphfaith.errors import CapExceededError, ModelError, ParseError
 from graphfaith.faithfulness import restricted_graphical
 from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_dag
-from graphfaith.graphs import MixedGraph, induced_model, parse_graph_text
+import graphfaith.graphs as graphs
+import graphfaith.models as models
+from graphfaith.graphs import MixedGraph, graph_to_text, induced_model, line, parse_graph_text
 from graphfaith.models import (
     IndependenceModel,
     check_composition,
@@ -533,6 +535,33 @@ def test_model_text_rejects_edge_symbol_labels():
         assert info.value.line == line
     with pytest.raises(ParseError, match="label '--'"):
         parse_model_text(model_to_text(IndependenceModel.full_independence(["--", "a", "b"])))
+
+
+@pytest.mark.parametrize("label", ["--", "->", "<->", "a,b", "x y", "p|q", "#c"])
+def test_printers_reject_labels_the_parsers_reject(label):
+    # Printing alone raises the label rule's ParseError, so no printed model or
+    # graph text is one that its parser refuses.
+    rule = f"label {label!r}: a label must be non-empty and contain no whitespace, ',', '|' or '#'"
+    with pytest.raises(ParseError) as info:
+        model_to_text(IndependenceModel.full_independence([label, "z"]))
+    assert str(info.value).startswith(rule)
+    with pytest.raises(ParseError) as info:
+        graph_to_text(MixedGraph(frozenset({label, "z"}), (line(label, "z"),)))
+    assert str(info.value).startswith(rule)
+
+
+def test_printers_check_each_label_once(monkeypatch):
+    # The check costs one call per label, not per statement or edge line.
+    model = IndependenceModel.full_independence("abcdef")
+    graph = parse_graph_text("a -- b\nb -> c\nc <-> d\nd -- a\nnode e\n")
+    seen = []
+    for module in (models, graphs):
+        monkeypatch.setattr(module, "_require_label", lambda label, *where: seen.append(label))
+    model_to_text(model)
+    assert seen == list("abcdef")
+    seen.clear()
+    graph_to_text(graph)
+    assert seen == list("abcde")
 
 
 def test_model_text_isolated_nodes_survive():
