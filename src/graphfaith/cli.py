@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, cap: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--cap", type=int, default=None, help="override the enumeration caps")
+        if cap:  # separate and alpha enumerate nothing, so they take no cap
+            p.add_argument("--cap", type=int, default=None, help="override the enumeration caps")
 
     p = sub.add_parser("classify", help="graph class flags incl. maximality")
     p.add_argument("--graph", required=True)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated node set")
     p.add_argument("--b", required=True, help="comma-separated node set")
     p.add_argument("--given", default="", help="comma-separated conditioning set")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("model", help="materialize the independence model of a graph")
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--marginalize", default="", help="comma-separated nodes to marginalize over")
     p.add_argument("--condition", default="", help="comma-separated nodes to condition on")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=_cmd_alpha)
 
     return parser

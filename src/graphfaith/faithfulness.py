@@ -11,7 +11,8 @@ candidate is screened by the compatible-preorder stability conditions
 confirmation is load-bearing: the screen alone over-accepts on some
 anterial-but-not-ancestral directings; see _search).  The
 confirmed witnesses are exactly the minimally-Markov members of the model's
-Markov equivalence class.
+Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
+run the same search with fewer options per skeleton pair.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GraphError, InternalCheckError, ModelError
-from .graphs import ARROW, MixedGraph, arc, induced_model, line
+from .graphs import ARC, ARROW, LINE, MixedGraph, induced_model
 from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
@@ -154,10 +155,15 @@ def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
     return None
 
 
+# The options each class's search gives a skeleton pair.
+_CLASS_OPTIONS = {"UG": (LINE,), "BG": (ARC,), "DAG": (ARROW, "<-"), "ANG": _EDGE_OPTIONS}
+
+
 def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
-    """The directing search behind AnG (every anterial directing of the
-    skeleton) and DAG (the enumerator tries only the two arrows on each
-    pair, so it yields the acyclic orientations and nothing else).
+    """The one graphicality route: the class's gate, then every anterial
+    directing of the skeleton whose pairs take the class's options (AnG all
+    four, DAG the two arrows, so the acyclic orientations; UG and BG one,
+    so the skeleton drawn in lines or in arcs, and no other candidate).
 
     Each candidate is screened by both ordered stabilities of its minimal
     preorder and, when it passes, verified by direct model equality.  The
@@ -170,17 +176,21 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     screen, but the walk c <-> b <-> c -- a <-> d connects c and d given
     {a,b}, so its induced model is strictly smaller.  Verification therefore
     filters rather than asserts.  Only screen passes are built as graphs.
+    The UG and BG gates hold the closed-form conditions (an upward-stable
+    singleton-transitive graphoid is faithful to its skeleton in lines, and
+    dually in arcs), so their one candidate must be a witness.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
     model_cap = max(caps.model_nodes, model.n)
-    arrows_only = kind == "DAG"
-    options = (ARROW, "<-") if arrows_only else _EDGE_OPTIONS
+    options = _CLASS_OPTIONS[kind]
     witnesses: list[MixedGraph] = []
     tried = 0
     screened = 0
-    for directing in _iter_anterial_directings(model, edge_cap=caps.skeleton_edges, options=options):
+    # one option draws one graph, so only a choice between options is capped
+    edge_cap = caps.skeleton_edges if len(options) > 1 else len(skeleton_pairs(model))
+    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options):
         tried += 1
         if not _stabilities_hold(model, directing.preorder):
             continue
@@ -190,6 +200,9 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
             witnesses.append(g)
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
+    if len(options) == 1:
+        raise InternalCheckError(f"the {kind} gate passed, but the skeleton drawn in {options[0]} is not faithful")
+    arrows_only = kind == "DAG"
     property_name = "compatible-order-search" if arrows_only else "compatible-preorder-search"
     counts = {"dags_tried" if arrows_only else "directings_tried": tried, "stability_passing": screened}
     return FaithfulnessVerdict(False, (), Failure(property_name, counts))
@@ -214,7 +227,7 @@ def decide_graphical(
     and must pass the stability screen, so the sweep sees every possible
     witness.  Candidates are streamed, never held in a list.
     """
-    return _search(model, "AnG", caps)
+    return _search(model, "ANG", caps)
 
 
 def restricted_graphical(
@@ -225,46 +238,15 @@ def restricted_graphical(
 ) -> FaithfulnessVerdict:
     """Graphicality within one graph class: UG, BG, DAG, or AnG.
 
-    The UG and BG routes use the closed-form conditions (no search): an
+    Every class runs _search with its own gate and the options its pairs
+    may take.  The UG and BG gates hold the closed-form conditions (an
     upward-stable singleton-transitive graphoid is faithful to the graph its
     everything-else conditioning sets draw, and dually for bidirected graphs
-    with marginal independences.  The DAG route restricts the search to
-    arrow-only directings, i.e. preorders with singleton classes.
+    with marginal independences), so their search draws one candidate.  The
+    DAG route tries arrow-only directings, i.e. preorders with singleton
+    classes.
     """
     kind = class_filter.strip().upper()
-    if kind == "ANG":
-        return decide_graphical(model, caps=caps)
-    if kind in ("UG", "BG"):
-        return _closed_form(model, kind, caps)
-    if kind == "DAG":
-        return _search(model, kind, caps)
-    raise ModelError(f"unknown class filter {class_filter!r}; expected UG, BG, DAG, or AnG")
-
-
-def _pairwise_graph(model: IndependenceModel, kind: str) -> MixedGraph:
-    """UG: a line wherever conditioning on everything else fails to separate.
-    BG: an arc wherever the marginal independence is missing."""
-    g = model.ground
-    full = (1 << model.n) - 1
-    edges = []
-    for (i, j), row in model._elementary.items():
-        cm = full ^ (1 << i) ^ (1 << j) if kind == "UG" else 0
-        if not (row >> cm) & 1:
-            edges.append(line(g[i], g[j]) if kind == "UG" else arc(g[i], g[j]))
-    return MixedGraph(frozenset(g), tuple(edges))
-
-
-def _closed_form(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
-    failure = _gate_failure(model, kind, caps)
-    if failure is not None:
-        return FaithfulnessVerdict(False, (), failure)
-    name, stability = ("undirected", "upward") if kind == "UG" else ("bidirected", "downward")
-    candidate = _pairwise_graph(model, kind)
-    if candidate.adjacent_pairs != skeleton_pairs(model):
-        raise InternalCheckError(
-            f"pairwise-constructed {name} graph disagrees with the model skeleton "
-            f"despite {stability}-stability"
-        )
-    if not is_faithful(model, candidate, cap=max(caps.model_nodes, model.n)):
-        raise InternalCheckError(f"{name} candidate passed the {kind} conditions but is not faithful")
-    return FaithfulnessVerdict(True, (candidate,), None)
+    if kind not in _CLASS_OPTIONS:
+        raise ModelError(f"unknown class filter {class_filter!r}; expected UG, BG, DAG, or AnG")
+    return _search(model, kind, caps)

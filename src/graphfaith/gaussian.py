@@ -292,6 +292,9 @@ def parse_matrix_csv(text: str, *, path: str | None = None) -> RationalMatrix:
 
 
 def matrix_to_csv(m: RationalMatrix) -> str:
+    """Serialize; a label that the parser would reject raises its ParseError here."""
+    for label in m.labels:
+        _require_label(label, f"label {label!r}", None, None)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(m.labels)

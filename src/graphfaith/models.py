@@ -16,12 +16,13 @@ bytearray of that layout, turned into the integer once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ModelError, ParseError
-from .limits import DEFAULT_CAPS, require_within
+from .limits import DEFAULT_CAPS, HARD_MAX_ELEMENTARY_NODES, require_within
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .preorders import Preorder
@@ -492,7 +493,12 @@ def marginalize_and_condition(
     """The model after marginalizing over `margin` and conditioning on `condition`.
 
     The result lives on ground minus both sets; <A,B|D> is in the result
-    exactly when <A,B|D union condition> is in the input.
+    exactly when <A,B|D union condition> is in the input, so each input
+    member whose sides avoid the margin and whose C holds the conditioning
+    set gives one result member, renumbered over the kept nodes.  The cost
+    is one digit test per input member and one copy per result member, so a
+    sparse input over a wide ground stays cheap; the result ground's triples
+    are never enumerated.
     """
     mm = model._mask_of(margin)
     cm0 = model._mask_of(condition)
@@ -500,15 +506,24 @@ def marginalize_and_condition(
         shared = sorted(model._labels_of(mm & cm0))
         raise ModelError(f"marginalization and conditioning sets overlap on node {shared[0]!r}")
     keep = [i for i in range(model.n) if not ((mm | cm0) >> i) & 1]
-    new_ground = tuple(model.ground[i] for i in keep)
-    # lift[mask]: a mask over the new ground as a mask over the old one
-    lift = [0] * (1 << len(keep))
-    for pos, old in enumerate(keep):
-        bit = 1 << pos
-        for m in range(bit):
-            lift[m | bit] = lift[m] | (1 << old)
-    has = model._has
-    return _model_where(new_ground, lambda am, bm, cm: has(lift[am], lift[bm], lift[cm] | cm0))
+    out = sum(3 << 2 * v for v in _iter_bits(mm))  # a kept member's margin digits are 0 (out)
+    given = sum(3 << 2 * v for v in _iter_bits(cm0))  # and its conditioning digits 3 (given)
+    # Its digits on the kept nodes, in order, are its code in the result (the side
+    # holding the highest node stays first): copy each run of consecutive kept nodes.
+    steps: list[list[int]] = []  # [bit shift in the input code, run mask, bit shift in the result code]
+    for pos, v in enumerate(keep):
+        if pos and keep[pos - 1] == v - 1:
+            steps[-1][1] = steps[-1][1] << 2 | 3
+        else:
+            steps.append([2 * v, 3, 2 * pos])
+    buf = bytearray()
+    for code in model._codes():
+        if not code & out and code & given == given:
+            new = 0
+            for shift, run, to in steps:
+                new |= ((code >> shift) & run) << to
+            _set_code(buf, new)
+    return IndependenceModel(tuple(model.ground[i] for i in keep), _members_of(buf))
 
 
 # ----------------------------------------------------------------------
@@ -869,12 +884,14 @@ def _stabilities_hold(model: IndependenceModel, preorder: "Preorder") -> bool:
 SEPARATOR = "_||_"
 # The edge symbols of the graph format, which no label may be.
 _EDGE_SYMBOLS = ("--", "->", "<->")
+# A label: no edge symbol, and characters that are not str.isspace() (\s) or ',|#'.
+_LABEL = re.compile(r"(?!(?:--|->|<->)\Z)[^\s,|#]+")
 
 
 def _require_label(label: str, subject: str, path: str | None, line: int | None) -> None:
     """Reject a label that the model, graph, preorder and matrix texts
     cannot all carry: the ParseError starts with `subject`, which names it."""
-    if not label or label in _EDGE_SYMBOLS or any(ch.isspace() or ch in ",|#" for ch in label):
+    if not _LABEL.fullmatch(label):
         rule = "a label must be non-empty and contain no whitespace, ',', '|' or '#'"
         if label in _EDGE_SYMBOLS:
             rule += ", and be no edge symbol ('--', '->' or '<->')"
@@ -946,6 +963,7 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
             raise ParseError("both sides of a statement must be non-empty", path=path, line=lineno)
         statements += (a, b, c)
     ground = tuple(sorted(declared.union(*parts)))
+    require_within("model text ground", len(ground), HARD_MAX_ELEMENTARY_NODES)  # members take 4^n bits
     index = {lab: i for i, lab in enumerate(ground)}
     masks = [sum({1 << index[lab] for lab in labels}) for labels in parts]
     model = IndependenceModel(ground, 0)

@@ -448,6 +448,9 @@ def parse_preorder_text(text: str, *, path: str | None = None) -> Preorder:
 
 
 def preorder_to_text(p: Preorder) -> str:
+    """Serialize; a label that the parser would reject raises its ParseError here."""
+    for label in p.ground:
+        _require_label(label, f"label {label!r}", None, None)
     classes = p.classes()
     lines_out = [f"class {' '.join(cls_)}" for cls_ in classes]
     for x, cls_x in enumerate(classes):

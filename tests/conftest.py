@@ -21,6 +21,7 @@ from graphfaith.models import (
     _base4_weights,
     _iter_bits,
     _iter_subsets,
+    _model_where,
     _sorted_labels,
     elementary_table,
     model_from_elementary,
@@ -396,6 +397,19 @@ def semi_graphoid_closure(model: IndependenceModel) -> IndependenceModel:
     return IndependenceModel(model.ground, mask)
 
 
+def _pairwise_graph(model: IndependenceModel, kind: str) -> MixedGraph:
+    """UG: a line wherever conditioning on everything else fails to separate.
+    BG: an arc wherever the marginal independence is missing."""
+    g = model.ground
+    full = (1 << model.n) - 1
+    edges = []
+    for (i, j), row in model._elementary.items():
+        cm = full ^ (1 << i) ^ (1 << j) if kind == "UG" else 0
+        if not (row >> cm) & 1:
+            edges.append(line(g[i], g[j]) if kind == "UG" else arc(g[i], g[j]))
+    return MixedGraph(frozenset(g), tuple(edges))
+
+
 def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
     """The directing search without pruning: build each of the 4^k directings
     of the model's skeleton, in itertools.product order over the sorted
@@ -441,6 +455,23 @@ def reference_triple_masks(n):
             pos += 1
         if am and bm and w[am] > w[bm]:
             yield am, bm, cm
+
+
+def reference_marginalize_and_condition(model: IndependenceModel, margin, condition) -> IndependenceModel:
+    """marginalize_and_condition by asking the input about every triple of
+    the result's ground: <A,B|D> is kept when <A,B|D u condition> is a
+    member, with each mask lifted back to the input's ground."""
+    mm, cm0 = model._mask_of(margin), model._mask_of(condition)
+    keep = [i for i in range(model.n) if not ((mm | cm0) >> i) & 1]
+    lift = [0] * (1 << len(keep))  # lift[mask]: a mask over keep as one over the input ground
+    for pos, old in enumerate(keep):
+        bit = 1 << pos
+        for m in range(bit):
+            lift[m | bit] = lift[m] | (1 << old)
+    has = model._has
+    return _model_where(
+        tuple(model.ground[i] for i in keep), lambda am, bm, cm: has(lift[am], lift[bm], lift[cm] | cm0)
+    )
 
 
 def reference_model_from_elementary(ground, separated):

@@ -417,6 +417,36 @@ def test_seed_flag_rejected(files, capsys):
     assert "--seed" in err
 
 
+def test_cap_flag_rejected_where_nothing_is_enumerated(files, capsys):
+    # separate and alpha read no cap, so --cap is not one of their options
+    for argv in (
+        ["separate", "--graph", files["coll.graph"], "--a", "a", "--b", "b", "--cap", "3"],
+        ["alpha", "--model", files["coll.ci"], "--marginalize", "c", "--cap", "3"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 3" in err
+
+
+def test_model_text_bound_holds_for_uncapped_verbs(tmp_path, capsys):
+    # alpha and the pairwise Markov check take no ground cap of their own, so
+    # the 14-label bound of model text is what refuses a 15-label model.
+    for n, codes in ((15, (2,)), (14, (0, 1))):  # 0 or 1: an answer, 2: an error
+        labels = [f"v{k:02d}" for k in range(n)]
+        model = tmp_path / f"m{n}.ci"
+        model.write_text("".join(f"node {lab}\n" for lab in labels[:-2]) + f"{labels[-2]} _||_ {labels[-1]}\n")
+        graph = tmp_path / f"g{n}.graph"
+        graph.write_text("".join(f"node {lab}\n" for lab in labels))
+        for argv in (
+            ["alpha", "--model", str(model), "--marginalize", labels[0]],
+            ["markov", "--model", str(model), "--graph", str(graph), "--variant", "pairwise"],
+        ):
+            code, _, err = invoke(capsys, *argv)
+            assert code in codes, (argv, err)
+            if n == 15:
+                assert "model text ground size 15 exceeds cap 14" in err
+
+
 def test_json_flag_never_changes_exit_code(files, capsys):
     for extra in ([], ["--json"]):
         plain = run(["faithful", "--model", files["coll.ci"], "--graph", files["chain.graph"], *extra])

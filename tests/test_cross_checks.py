@@ -113,10 +113,10 @@ def test_restricted_routes_on_random_larger_models():
 
 def test_every_three_node_model_through_restricted_routes():
     # all 512 independence models over three nodes: whenever the UG or BG
-    # closed-form gate passes, the constructed graph must verify faithful
-    # (the routes raise InternalCheckError otherwise, so surviving the sweep
-    # is the assertion); verdicts must also match the unrestricted search
-    # intersected with the class
+    # gate passes, the skeleton drawn in lines or arcs must verify faithful
+    # (the one-option search raises InternalCheckError otherwise, so
+    # surviving the sweep is the assertion); verdicts must also match the
+    # unrestricted search intersected with the class
     from graphfaith.faithfulness import decide_graphical
 
     ground = ("a", "b", "c")

@@ -1,5 +1,6 @@
 """Markov/faithfulness deciders, graphicality search, and its sharp edges."""
 
+import hashlib
 import json
 import random
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphfaith.errors import GraphError, ModelError
-from graphfaith.generate import flip_one_elementary, random_anterial_graph
+from graphfaith.errors import CapExceededError, GraphError, InternalCheckError, ModelError
+from graphfaith.gaussian import adjacency_weight_matrix, model_from_concentration, model_from_covariance
+from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_connected_ug
 from graphfaith.graphs import (
     MixedGraph,
     classify,
+    graph_to_text,
     induced_model,
     line,
     markov_equivalent,
@@ -30,6 +33,7 @@ from graphfaith.faithfulness import (
 )
 from graphfaith.models import (
     IndependenceModel,
+    _iter_triple_masks,
     _stabilities_hold,
     check_semi_graphoid,
     check_singleton_transitivity,
@@ -505,6 +509,77 @@ def test_restricted_ug_matches_skeleton_when_passing(graph):
         w = verdict.witnesses[0]
         assert w.adjacent_pairs == skeleton_pairs(j)
         assert is_faithful(j, w)
+
+
+def _ug_bg_pin_models():
+    """Every 3-node model; 150 seeded graph-induced 2-6-node models, each
+    followed by one flip; 40 seeded 8-node concentration models I - A/10,
+    each followed by the covariance model of I + A/10; and K8 as a
+    concentration and K6 as a covariance, both above the edge cap."""
+    ground = ("a", "b", "c")
+    probe = IndependenceModel(ground, 0)
+    codes = [probe._code(am, bm, cm) for am, bm, cm in _iter_triple_masks(3)]
+    for bits in range(1 << len(codes)):
+        yield IndependenceModel(ground, sum(1 << code for k, code in enumerate(codes) if (bits >> k) & 1))
+    rng = random.Random(13)
+    for _ in range(150):
+        model = induced_model(random_anterial_graph(rng, LABELS[: rng.randint(2, 6)], 0.5))
+        yield model
+        yield flip_one_elementary(rng, model)
+    for seed in range(1, 41):
+        ug = random_connected_ug(random.Random(seed), tuple("abcdefgh"), 0.1)
+        yield model_from_concentration(adjacency_weight_matrix(ug, "-1/10"))
+        yield model_from_covariance(adjacency_weight_matrix(ug, "1/10"))
+    yield model_from_concentration(adjacency_weight_matrix(complete_graph("abcdefgh"), "-1/10"))
+    yield model_from_covariance(adjacency_weight_matrix(complete_graph("abcdef"), "1/10"))
+
+
+def test_ug_bg_verdicts_pinned():
+    # SHA-256 of every UG and BG verdict's JSON over the models above, as the
+    # pairwise-graph route that preceded the one-option search printed them.
+    lines = []
+    for model in _ug_bg_pin_models():
+        for kind in ("UG", "BG"):
+            lines.append(json.dumps(restricted_graphical(model, kind).to_json_dict(), sort_keys=True))
+    assert len(lines) == 2 * (512 + 300 + 80 + 2)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fc16a207f4005fa7d30faf697698d7be9e2b14ca838df148fb99062c4d8d8267"
+
+
+def test_complete_skeletons_pass_ug_and_bg_above_the_edge_cap():
+    k8 = model_from_concentration(adjacency_weight_matrix(complete_graph("abcdefgh"), "-1/10"))
+    k6 = model_from_covariance(adjacency_weight_matrix(complete_graph("abcdef"), "1/10"))
+    assert restricted_graphical(k8, "UG").to_json_dict() == {
+        "graphical": True,
+        "witnesses": [graph_to_text(complete_graph("abcdefgh"))],
+        "failure": None,
+    }
+    bg = restricted_graphical(k6, "BG")
+    assert bg.graphical and [e.kind for e in bg.witnesses[0].edges] == ["<->"] * 15
+
+
+def test_one_option_search_without_a_witness_is_an_internal_error(monkeypatch):
+    # After a UG or BG gate pass the one drawn skeleton is faithful by the
+    # closed-form theorem, so a search that confirms nothing is a bug.
+    monkeypatch.setattr(faithfulness, "is_faithful", lambda model, g, cap: False)
+    for kind, text in (("UG", "a -- b\nb -- c"), ("BG", "a <-> b\nb <-> c")):
+        with pytest.raises(InternalCheckError, match=f"the {kind} gate passed, but the skeleton drawn in"):
+            restricted_graphical(induced_model(g(text)), kind)
+    assert not restricted_graphical(induced_model(g("a -> b")), "DAG").graphical
+
+
+def test_multi_option_searches_keep_the_edge_cap():
+    # A UG with 13 of the 15 pairs on six nodes: the one-option UG search
+    # draws it, while DAG and AnG would enumerate directings and refuse.
+    complete = complete_graph("abcdef")
+    model = induced_model(MixedGraph(complete.nodes, complete.edges[2:]))
+    assert len(skeleton_pairs(model)) == 13
+    assert restricted_graphical(model, "UG").graphical
+    for kind in ("DAG", "AnG"):
+        with pytest.raises(CapExceededError, match="skeleton has 13 edges, above the directing cap 12"):
+            restricted_graphical(model, kind)
+    with pytest.raises(CapExceededError, match="skeleton has 13 edges"):
+        decide_graphical(model)
 
 
 # -- necessity probes ------------------------------------------------------------------

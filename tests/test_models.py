@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from graphfaith.errors import CapExceededError, ModelError, ParseError
 from graphfaith.faithfulness import restricted_graphical
 from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_dag
+import graphfaith.gaussian as gaussian
 import graphfaith.graphs as graphs
 import graphfaith.models as models
+import graphfaith.preorders as preorders
+from graphfaith.gaussian import RationalMatrix, matrix_to_csv
 from graphfaith.graphs import MixedGraph, graph_to_text, induced_model, line, parse_graph_text
 from graphfaith.models import (
     IndependenceModel,
@@ -29,9 +32,17 @@ from graphfaith.models import (
     parse_model_text,
     skeleton_pairs,
 )
-from graphfaith.preorders import Preorder, minimal_preorder
+from graphfaith.preorders import Preorder, minimal_preorder, preorder_to_text
 
-from conftest import LABELS, anterial_graphs, reference_triple_masks, semi_graphoid_closure, small_models
+from conftest import (
+    LABELS,
+    _pairwise_graph,
+    anterial_graphs,
+    reference_marginalize_and_condition,
+    reference_triple_masks,
+    semi_graphoid_closure,
+    small_models,
+)
 
 
 def g(text):
@@ -364,8 +375,6 @@ def test_downward_stable_semi_graphoids_have_intersection(j):
 def test_graphoid_downward_stable_wrt_everything_else_graph():
     # graphoids satisfy ordered downward-stability w.r.t. the minimal preorder
     # of the pairwise-constructed undirected graph
-    from graphfaith.faithfulness import _pairwise_graph
-
     rng = random.Random(7)
     for _ in range(25):
         graph = random_anterial_graph(rng, LABELS[: rng.randint(2, 4)], 0.5)
@@ -401,6 +410,35 @@ def test_alpha_overlap_error():
     j = model("abc")
     with pytest.raises(ModelError, match="overlap"):
         marginalize_and_condition(j, {"a"}, {"a", "b"})
+
+
+def _alpha_cases():
+    """(model, margin, condition) over seeded graph-induced models, their
+    flips and semi-graphoid closures, and 0- and 1-node grounds."""
+    rng = random.Random(31)
+    for _ in range(30):
+        j = induced_model(random_anterial_graph(rng, LABELS[: rng.randint(2, 5)], 0.5))
+        for model in (j, flip_one_elementary(rng, j), semi_graphoid_closure(flip_one_elementary(rng, j))):
+            roles = [rng.randrange(3) for _ in model.ground]
+            yield (
+                model,
+                {lab for lab, role in zip(model.ground, roles) if role == 1},
+                {lab for lab, role in zip(model.ground, roles) if role == 2},
+            )
+    for ground in ((), ("a",)):
+        full = IndependenceModel.full_independence(ground)
+        yield full, set(), set()
+        yield full, set(ground), set()
+        yield full, set(), set(ground)
+    two = IndependenceModel.full_independence("ab")
+    yield two, {"a"}, set()
+    yield two, set(), {"b"}
+
+
+def test_alpha_matches_the_every_triple_route():
+    for model, margin, condition in _alpha_cases():
+        expected = reference_marginalize_and_condition(model, margin, condition)
+        assert marginalize_and_condition(model, margin, condition) == expected, (model, margin, condition)
 
 
 @given(small_models(max_nodes=4), st.integers(0, 3 ** 4 - 1))
@@ -509,6 +547,22 @@ def test_model_text_errors():
         parse_model_text("a _||_ | b")
 
 
+def test_model_text_ground_is_bounded_before_any_member_is_set(monkeypatch):
+    # 15 labels and one statement on the two highest: the member bit would sit
+    # near 4^15, so the cap must refuse the ground before a buffer is grown.
+    def no_members(buf, code):
+        raise AssertionError("a member was set")
+
+    labels = [f"v{k:02d}" for k in range(15)]
+    text = "".join(f"node {lab}\n" for lab in labels[:-2]) + f"{labels[-2]} _||_ {labels[-1]}\n"
+    monkeypatch.setattr(models, "_set_code", no_members)
+    with pytest.raises(CapExceededError, match="^model text ground size 15 exceeds cap 14$"):
+        parse_model_text(text)
+    monkeypatch.undo()
+    model = parse_model_text(text.replace("node v00\n", ""))
+    assert model.n == 14 and model.statement_count() == 1
+
+
 def test_model_text_rejects_a_bar_inside_a_side():
     # `z|x _||_ b` printed as `b _||_ z|x`, which re-parses over {b, x, z}.
     with pytest.raises(ParseError, match="label 'z\\|x': a label must be non-empty") as info:
@@ -539,29 +593,53 @@ def test_model_text_rejects_edge_symbol_labels():
 
 @pytest.mark.parametrize("label", ["--", "->", "<->", "a,b", "x y", "p|q", "#c"])
 def test_printers_reject_labels_the_parsers_reject(label):
-    # Printing alone raises the label rule's ParseError, so no printed model or
-    # graph text is one that its parser refuses.
+    # Printing alone raises the label rule's ParseError, so no printed model,
+    # graph, preorder or matrix text is one that its parser refuses.
     rule = f"label {label!r}: a label must be non-empty and contain no whitespace, ',', '|' or '#'"
-    with pytest.raises(ParseError) as info:
-        model_to_text(IndependenceModel.full_independence([label, "z"]))
-    assert str(info.value).startswith(rule)
-    with pytest.raises(ParseError) as info:
-        graph_to_text(MixedGraph(frozenset({label, "z"}), (line(label, "z"),)))
-    assert str(info.value).startswith(rule)
+    for text_of in (
+        lambda: model_to_text(IndependenceModel.full_independence([label, "z"])),
+        lambda: graph_to_text(MixedGraph(frozenset({label, "z"}), (line(label, "z"),))),
+        lambda: preorder_to_text(Preorder.all_incomparable([label, "z"])),
+        lambda: matrix_to_csv(RationalMatrix.identity((label, "z"))),
+    ):
+        with pytest.raises(ParseError) as info:
+            text_of()
+        assert str(info.value).startswith(rule)
 
 
 def test_printers_check_each_label_once(monkeypatch):
-    # The check costs one call per label, not per statement or edge line.
-    model = IndependenceModel.full_independence("abcdef")
-    graph = parse_graph_text("a -- b\nb -> c\nc <-> d\nd -- a\nnode e\n")
+    # The check costs one call per label, not per statement, edge, class or row.
+    cases = (
+        (model_to_text, IndependenceModel.full_independence("abcdef"), "abcdef"),
+        (graph_to_text, parse_graph_text("a -- b\nb -> c\nc <-> d\nd -- a\nnode e\n"), "abcde"),
+        (preorder_to_text, Preorder.from_pairs("abcd", [("a", "b"), ("c", "d"), ("d", "c")]), "abcd"),
+        (matrix_to_csv, RationalMatrix.identity(tuple("abc")), "abc"),
+    )
     seen = []
-    for module in (models, graphs):
+    for module in (models, graphs, preorders, gaussian):
         monkeypatch.setattr(module, "_require_label", lambda label, *where: seen.append(label))
-    model_to_text(model)
-    assert seen == list("abcdef")
-    seen.clear()
-    graph_to_text(graph)
-    assert seen == list("abcde")
+    for printer, value, labels in cases:
+        seen.clear()
+        printer(value)
+        assert seen == list(labels)
+
+
+def _old_label_rule(label):
+    """The label predicate as a per-character scan, before the pattern."""
+    return bool(label) and label not in models._EDGE_SYMBOLS and not any(
+        ch.isspace() or ch in ",|#" for ch in label
+    )
+
+
+def test_label_pattern_matches_the_character_rule_on_every_code_point():
+    # One character at a time: the pattern refuses exactly the characters
+    # that are whitespace or one of ',', '|' and '#'.
+    pattern = models._LABEL
+    for start in range(0, 0x110000, 0x10000):
+        chars = [chr(cp) for cp in range(start, start + 0x10000)]
+        assert [c for c in chars if not pattern.fullmatch(c)] == [c for c in chars if not _old_label_rule(c)]
+    for label in ("", "-", "--", "->", "<->", "---", "-->", "<-", "<->x", "x<->", "a-b", "a\u00a0b", "a\u2028", "ab#"):
+        assert bool(pattern.fullmatch(label)) == _old_label_rule(label), label
 
 
 def test_model_text_isolated_nodes_survive():
