@@ -36,7 +36,7 @@ def main():
             continue
         seen.add(model.members)
         for directing in _iter_anterial_directings(model):
-            if not _stabilities_hold(model, directing.preorder):
+            if not _stabilities_hold(model, directing.rows):
                 continue
             screened_total += 1
             h = directing.graph()

@@ -192,7 +192,7 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     edge_cap = caps.skeleton_edges if len(options) > 1 else len(skeleton_pairs(model))
     for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options):
         tried += 1
-        if not _stabilities_hold(model, directing.preorder):
+        if not _stabilities_hold(model, directing.rows):
             continue
         screened += 1
         g = directing.graph()

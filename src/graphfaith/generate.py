@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
-from .graphs import MixedGraph, _add_anterior_step, arc, arrow, line
+from .graphs import ARC, MixedGraph, _add_anterior_step, arc, arrow, line
 from .models import IndependenceModel, _iter_subsets
-from .preorders import _EDGE_OPTIONS, Preorder, _iter_anterial_directings, direct_skeleton
+from .preorders import _EDGE, _EDGE_OPTIONS, Preorder, _iter_anterial_directings, direct_skeleton
 
 
 def random_skeleton(rng: random.Random, labels: Sequence[str], edge_prob: float = 0.5) -> MixedGraph:
@@ -91,16 +91,9 @@ def random_mixed_graph(
         for v in labels[x + 1 :]:
             if rng.random() >= edge_prob:
                 continue
-            kind = rng.choice(("line", "arrow", "worra", "arc"))
-            if kind == "line":
-                edges.append(line(u, v))
-            elif kind == "arrow":
-                edges.append(arrow(u, v))
-            elif kind == "worra":
-                edges.append(arrow(v, u))
-            else:
-                edges.append(arc(u, v))
-            if kind != "arc" and rng.random() < multi_prob:
+            kind = rng.choice(_EDGE_OPTIONS)
+            edges.append(_EDGE[kind](u, v))
+            if kind != ARC and rng.random() < multi_prob:
                 edges.append(arc(u, v))
     return MixedGraph(frozenset(labels), tuple(edges))
 

@@ -52,9 +52,6 @@ class Edge(NamedTuple):
             return HEAD
         return HEAD if node == self.v else TAIL
 
-    def other(self, node: str) -> str:
-        return self.v if node == self.u else self.u
-
     def pair(self) -> tuple[str, str]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
@@ -218,9 +215,6 @@ class MixedGraph:
                 return e
         return None
 
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
-
 
 def _add_anterior_step(ant: list[int], a: int, b: int) -> None:
     """Add the step a -> b to transitively closed reflexive rows, in place.
@@ -258,10 +252,10 @@ def ancestors(g: MixedGraph, j: str) -> frozenset[str]:
 
 def _check_query_sets(g: MixedGraph, a: frozenset, b: frozenset, c: frozenset) -> None:
     _require_known(g, a | b | c)
-    for x, y, name in ((a, b, "A and B"), (a, c, "A and C"), (b, c, "B and C")):
-        shared = x & y
-        if shared:
-            raise GraphError(f"{name} overlap on node {sorted(shared)[0]!r}")
+    if a & b or a & c or b & c:  # one test when the sets are disjoint; the loop only names the overlap
+        for x, y, name in ((a, b, "A and B"), (a, c, "A and C"), (b, c, "B and C")):
+            if x & y:
+                raise GraphError(f"{name} overlap on node {min(x & y)!r}")
     if not a or not b:
         raise GraphError("A and B must be non-empty")
 

@@ -737,12 +737,25 @@ def check_singleton_transitivity(
 StabilityBreak = tuple[int, int, int, int]
 
 
-def _ordered_up_breaks(model: IndependenceModel, preorder: "Preorder") -> Iterator[StabilityBreak]:
+def _columns(leq: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sim_cols, lt_cols) of a preorder's leq rows: sim_cols[k] is the mask
+    of l with l ~ k, lt_cols[k] the mask of l with l < k."""
+    cols = [0] * len(leq)
+    for i, row in enumerate(leq):
+        for k in _iter_bits(row):
+            cols[k] |= 1 << i
+    return (
+        tuple(col & leq[k] for k, col in enumerate(cols)),
+        tuple(col & ~leq[k] for k, col in enumerate(cols)),
+    )
+
+
+def _ordered_up_breaks(model: IndependenceModel, leq: Sequence[int]) -> Iterator[StabilityBreak]:
     """(i, j, C, k) for each member <i,j|C> and k outside C whose addition
     leaves the model although i or j is below k or k is equivalent to a node
-    of C; pairs in order, then C, then k increasing."""
-    leq = preorder.leq_rows
-    sim_col = preorder._sim_cols
+    of C; pairs in order, then C, then k increasing.  Bit j of leq[i] means
+    node i <= node j."""
+    sim_col = _columns(leq)[0]
     # Nodes in a class of two or more: only they can be equivalent to a node of C.
     shared = 0
     for k, col in enumerate(sim_col):
@@ -760,12 +773,11 @@ def _ordered_up_breaks(model: IndependenceModel, preorder: "Preorder") -> Iterat
                 yield i, j, cm, k
 
 
-def _ordered_down_breaks(model: IndependenceModel, preorder: "Preorder") -> Iterator[StabilityBreak]:
+def _ordered_down_breaks(model: IndependenceModel, leq: Sequence[int]) -> Iterator[StabilityBreak]:
     """(i, j, C, k) for each member <i,j|C> and k in C whose removal leaves
     the model although neither i nor j is below k and no node of C is
     strictly below k; in the order of `_ordered_up_breaks`."""
-    leq = preorder.leq_rows
-    lt_col = preorder._lt_cols
+    lt_col = _columns(leq)[1]
     for i, j, _, down_any, _, downs in model._stability_table:
         far = ~(leq[i] | leq[j])
         if not down_any & far:
@@ -774,18 +786,6 @@ def _ordered_down_breaks(model: IndependenceModel, preorder: "Preorder") -> Iter
             for k in _iter_bits(down & far):
                 if not lt_col[k] & cm:
                     yield i, j, cm, k
-
-
-def _plain_breaks(model: IndependenceModel, upward: bool) -> Iterator[StabilityBreak]:
-    """Every upward or every downward entry of the stability table, in the
-    order of `_ordered_up_breaks`.  These are the ordered breaks under the
-    all-equivalent preorder (upward: every k outside C is eligible) and the
-    all-incomparable one (downward: C never holds i or j, and no node is
-    strictly below another), so no preorder is built."""
-    for i, j, _, _, ups, downs in model._stability_table:
-        for cm, ks in ups if upward else downs:
-            for k in _iter_bits(ks):
-                yield i, j, cm, k
 
 
 def _stability_report(
@@ -822,7 +822,8 @@ def check_ordered_upward_stability(
 
     Quantifies over elementary statements only, per the defining property.
     """
-    return _stability_report(model, "ordered-upward-stability", _ordered_up_breaks(model, preorder), cap, preorder)
+    breaks = _ordered_up_breaks(model, preorder.leq_rows)
+    return _stability_report(model, "ordered-upward-stability", breaks, cap, preorder)
 
 
 def check_ordered_downward_stability(
@@ -834,21 +835,31 @@ def check_ordered_downward_stability(
     """Removing k from the conditioning set of <i,j|C> must preserve
     membership whenever neither i nor j is below k and no other conditioning
     node is strictly below k."""
-    return _stability_report(model, "ordered-downward-stability", _ordered_down_breaks(model, preorder), cap, preorder)
+    breaks = _ordered_down_breaks(model, preorder.leq_rows)
+    return _stability_report(model, "ordered-downward-stability", breaks, cap, preorder)
 
 
 def check_upward_stability(
     model: IndependenceModel, *, cap: int = DEFAULT_CAPS.elementary_axiom_nodes
 ) -> CheckReport:
-    """Unrestricted variant: any k may be added (all nodes equivalent)."""
-    return _stability_report(model, "upward-stability", _plain_breaks(model, True), cap)
+    """Unrestricted variant: any k may be added.  This is the upward scan
+    under the all-equivalent preorder, whose rows are all ones: there i is
+    below every k, so every k outside C is eligible, and the breaks are the
+    stability table's upward entries in the table's order."""
+    full = (1 << model.n) - 1
+    return _stability_report(model, "upward-stability", _ordered_up_breaks(model, (full,) * model.n), cap)
 
 
 def check_downward_stability(
     model: IndependenceModel, *, cap: int = DEFAULT_CAPS.elementary_axiom_nodes
 ) -> CheckReport:
-    """Unrestricted variant: any k may be removed (all nodes incomparable)."""
-    return _stability_report(model, "downward-stability", _plain_breaks(model, False), cap)
+    """Unrestricted variant: any k may be removed.  This is the downward
+    scan under the all-incomparable preorder, whose rows are the identity:
+    there no node is below another, so neither i nor j is below k, no node
+    of C is strictly below k, every k in C is eligible, and the breaks are
+    the stability table's downward entries in the table's order."""
+    identity = tuple(1 << i for i in range(model.n))
+    return _stability_report(model, "downward-stability", _ordered_down_breaks(model, identity), cap)
 
 
 def check_dag_ordered_stabilities(
@@ -866,15 +877,15 @@ def check_dag_ordered_stabilities(
     return up, down
 
 
-def _stabilities_hold(model: IndependenceModel, preorder: "Preorder") -> bool:
-    """Both ordered stabilities hold; the screen of the directing search."""
-    leq = preorder.leq_rows
+def _stabilities_hold(model: IndependenceModel, leq: Sequence[int]) -> bool:
+    """Both ordered stabilities hold under the preorder with these leq rows;
+    the screen of the directing search."""
     # Most candidates fail here, before the preorder's columns are needed.
     for i, j, up_any, _, _, _ in model._stability_table:
         if up_any & (leq[i] | leq[j]):
             return False
     breaks = (_ordered_up_breaks, _ordered_down_breaks)
-    return all(next(scan(model, preorder), None) is None for scan in breaks)
+    return all(next(scan(model, leq), None) is None for scan in breaks)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import CapExceededError, GraphError, ParseError, PreorderError
 from .graphs import ARC, ARROW, LINE, MixedGraph, _add_anterior_step, arc, arrow, line, model_skeleton
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, _iter_bits, _require_label, skeleton_pairs
+from .models import IndependenceModel, _columns, _iter_bits, _require_label, skeleton_pairs
 
 
 @dataclass(frozen=True)
@@ -113,26 +113,9 @@ class Preorder:
         return not self.leq(a, b) and not self.leq(b, a)
 
     @cached_property
-    def _cols(self) -> tuple[int, ...]:
-        n = len(self.ground)
-        cols = [0] * n
-        for i, row in enumerate(self.leq_rows):
-            bit = 1 << i
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return tuple(cols)
-
-    @cached_property
     def _sim_cols(self) -> tuple[int, ...]:
         """sim_cols[k]: mask of l with l ~ k."""
-        return tuple(col & self.leq_rows[k] for k, col in enumerate(self._cols))
-
-    @cached_property
-    def _lt_cols(self) -> tuple[int, ...]:
-        """lt_cols[k]: mask of l with l < k."""
-        return tuple(col & ~self.leq_rows[k] for k, col in enumerate(self._cols))
+        return _columns(self.leq_rows)[0]
 
     def is_partial_order(self) -> bool:
         return all(self._sim_cols[k] == 1 << k for k in range(len(self.ground)))
@@ -267,21 +250,24 @@ def is_compatible(p: Preorder, model: IndependenceModel) -> bool:
 
 
 class Directing(NamedTuple):
-    """One anterial directing of a model's skeleton.
+    """One anterial directing of a model's skeleton over the sorted `ground`.
 
     `choices[e]` is the option taken by the e-th sorted skeleton pair
     (u, v): one of _EDGE_OPTIONS, or None when the pair is left unjoined.
-    `preorder` is the minimal preorder of the directed graph.
+    `rows` are the leq rows of the minimal preorder of the directed graph:
+    bit j of rows[i] is set when ground[j] is an anterior of ground[i] or
+    j == i.
     """
 
+    ground: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
     choices: tuple[str | None, ...]
-    preorder: Preorder
+    rows: tuple[int, ...]
 
     def graph(self) -> MixedGraph:
         """The skeleton with each pair joined as its choice says."""
         edges = tuple(_EDGE[c](u, v) for (u, v), c in zip(self.pairs, self.choices) if c is not None)
-        return MixedGraph(frozenset(self.preorder.ground), edges)
+        return MixedGraph(frozenset(self.ground), edges)
 
 
 def _direct_edge(
@@ -342,7 +328,7 @@ def _iter_anterial_directings(
     ground = model.ground
     states = [([1 << i for i in range(model.n)], [0] * model.n)] + [None] * k
     if k == 0:
-        yield Directing(pairs, (), Preorder(ground, tuple(states[0][0])))
+        yield Directing(ground, pairs, (), tuple(states[0][0]))
         return
     picks = [-1] * k
     depth = 0
@@ -362,7 +348,7 @@ def _iter_anterial_directings(
             states[depth] = state
         else:
             choices = tuple(options[p] for p in picks)
-            yield Directing(pairs, choices, Preorder(ground, tuple(state[0])))
+            yield Directing(ground, pairs, choices, tuple(state[0]))
 
 
 def enumerate_compatible_preorders(
@@ -374,14 +360,19 @@ def enumerate_compatible_preorders(
     compatible preorder is the minimal preorder of some anterial directing of
     the model's skeleton, and conversely each such minimal preorder is
     compatible by construction.
+
+    No preorder comes twice, because the directing can be read back from its
+    minimal preorder p: direct_skeleton(skeleton, p) gives it again.  Every
+    skeleton pair is joined (the options hold no None), and p is valid for
+    the directing: a line's ends reach each other, so they are equivalent;
+    an arrow u -> v puts v below u, and not above it, since a way back from
+    v to u would close a semi-directed cycle; an arc's ends are incomparable,
+    since an anterial graph has no arc between a node and its anterior.  So
+    each pair takes the one option that p allows, and distinct directings
+    have distinct minimal preorders.
     """
-    seen: set[tuple[int, ...]] = set()
     for directing in _iter_anterial_directings(model, edge_cap=edge_cap):
-        p = directing.preorder
-        if p.leq_rows in seen:
-            continue
-        seen.add(p.leq_rows)
-        yield p
+        yield Preorder(directing.ground, directing.rows)
 
 
 # ----------------------------------------------------------------------

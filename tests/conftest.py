@@ -615,14 +615,17 @@ def reference_singleton_transitivity_violations(model: IndependenceModel):
                             )
 
 
-def reference_ordered_up_violations(model: IndependenceModel, preorder):
-    """Ordered upward stability by membership lookups, in the scan order above."""
+def _leq(leq, a: int, b: int) -> bool:
+    return bool((leq[a] >> b) & 1)
+
+
+def reference_ordered_up_violations(model: IndependenceModel, leq):
+    """Ordered upward stability by membership lookups, in the scan order
+    above; bit j of leq[i] means node i <= node j, read one pair at a time."""
     n = model.n
     full = (1 << n) - 1
     has = model._has
     g = model.ground
-    leq = preorder.leq_rows
-    sim_col = preorder._sim_cols
     for i in range(n):
         im = 1 << i
         for j in range(i + 1, n):
@@ -632,7 +635,9 @@ def reference_ordered_up_violations(model: IndependenceModel, preorder):
             for cm in _iter_subsets(rest):
                 if has(im, jm, cm):
                     for k in _iter_bits(rest ^ cm):
-                        eligible = (up >> k) & 1 or (sim_col[k] & cm)
+                        eligible = (up >> k) & 1 or any(
+                            _leq(leq, c, k) and _leq(leq, k, c) for c in _iter_bits(cm)
+                        )
                         if eligible and not has(im, jm, cm | (1 << k)):
                             yield (
                                 "ordered-upward-stability",
@@ -640,14 +645,13 @@ def reference_ordered_up_violations(model: IndependenceModel, preorder):
                             )
 
 
-def reference_ordered_down_violations(model: IndependenceModel, preorder):
-    """Ordered downward stability by membership lookups, in the scan order above."""
+def reference_ordered_down_violations(model: IndependenceModel, leq):
+    """Ordered downward stability by membership lookups, in the scan order
+    above, with leq read as in `reference_ordered_up_violations`."""
     n = model.n
     full = (1 << n) - 1
     has = model._has
     g = model.ground
-    leq = preorder.leq_rows
-    lt_col = preorder._lt_cols
     for i in range(n):
         im = 1 << i
         for j in range(i + 1, n):
@@ -657,9 +661,9 @@ def reference_ordered_down_violations(model: IndependenceModel, preorder):
                 if has(im, jm, cm):
                     for k in _iter_bits(cm):
                         km = 1 << k
-                        if (leq[i] >> k) & 1 or (leq[j] >> k) & 1:
+                        if _leq(leq, i, k) or _leq(leq, j, k):
                             continue
-                        if lt_col[k] & (cm ^ km):
+                        if any(_leq(leq, l, k) and not _leq(leq, k, l) for l in _iter_bits(cm ^ km)):
                             continue
                         if not has(im, jm, cm ^ km):
                             yield (

@@ -343,7 +343,7 @@ def test_criterion_8_necessity_probes():
             break
         probes_fail = (
             not check_singleton_transitivity(flipped).passed
-            or not _stabilities_hold(flipped, minimal_preorder(g))
+            or not _stabilities_hold(flipped, minimal_preorder(g).leq_rows)
             or not is_minimally_markov(flipped, g)
         )
         if not probes_fail:

@@ -14,7 +14,7 @@ from graphfaith.gaussian import (
 from graphfaith.generate import random_anterial_graph
 from graphfaith.graphs import induced_model
 from graphfaith.models import IndependenceModel, _iter_triple_masks
-from graphfaith.preorders import Preorder, enumerate_compatible_preorders, is_compatible
+from graphfaith.preorders import Preorder, _iter_anterial_directings, enumerate_compatible_preorders, is_compatible
 
 from conftest import LABELS, build_graph
 
@@ -43,7 +43,8 @@ def _all_preorders(ground):
 
 def test_enumeration_matches_abstract_preorder_search():
     # the skeleton-directing enumeration must produce exactly the preorders
-    # that pass the compatibility definition, over the whole abstract space
+    # that pass the compatibility definition, over the whole abstract space,
+    # one per anterial directing and none twice (brute holds no duplicates)
     labels = ("a", "b", "c")
     all_ps = list(_all_preorders(labels))
     assert len(all_ps) == 29  # preorders on a 3-element set
@@ -52,9 +53,10 @@ def test_enumeration_matches_abstract_preorder_search():
         if graph.semi_directed_cycle() is not None or graph.violating_arc() is not None:
             continue
         model = induced_model(graph)
-        enumerated = {p.leq_rows for p in enumerate_compatible_preorders(model)}
-        brute = {p.leq_rows for p in all_ps if is_compatible(p, model)}
-        assert enumerated == brute
+        enumerated = [p.leq_rows for p in enumerate_compatible_preorders(model)]
+        brute = [p.leq_rows for p in all_ps if is_compatible(p, model)]
+        assert sorted(enumerated) == sorted(brute)
+        assert len(enumerated) == sum(1 for _ in _iter_anterial_directings(model))
 
 
 def test_concentration_zero_pattern_matches_saturated_statements():

@@ -7,6 +7,7 @@ every comparison here is an exact equality of violation lists (in yield
 order), reports, pair sets or models.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from graphfaith.models import (
     _iter_subsets,
     _ordered_down_breaks,
     _ordered_up_breaks,
-    _plain_breaks,
     _reduce,
     _sorted_labels,
     check_downward_stability,
@@ -82,23 +82,24 @@ def assert_scans_match_references(model, preorders):
             (_ordered_down_breaks, reference_ordered_down_violations,
              check_ordered_downward_stability, "ordered-downward-stability"),
         ):
-            old = list(reference(model, p))
-            assert witnesses(model, name, scan(model, p)) == old
+            old = list(reference(model, p.leq_rows))
+            assert witnesses(model, name, scan(model, p.leq_rows)) == old
             report = check(model, p)
             assert report == _reduce(name, (name,), old)
             assert report.count == len(old)
             found[name] = found.get(name, 0) + len(old)
     # The plain stabilities are the ordered ones under the trivial preorders.
     ground = model.ground
-    for upward, reference, check, name, trivial in (
-        (True, reference_ordered_up_violations, check_upward_stability,
+    for reference, check, ordered, name, trivial in (
+        (reference_ordered_up_violations, check_upward_stability, check_ordered_upward_stability,
          "upward-stability", Preorder.all_equivalent(ground)),
-        (False, reference_ordered_down_violations, check_downward_stability,
+        (reference_ordered_down_violations, check_downward_stability, check_ordered_downward_stability,
          "downward-stability", Preorder.all_incomparable(ground)),
     ):
-        old = [(name, w) for _, w in reference(model, trivial)]
-        assert witnesses(model, name, _plain_breaks(model, upward)) == old
-        assert check(model) == _reduce(name, (name,), old)
+        old = [(name, w) for _, w in reference(model, trivial.leq_rows)]
+        report = check(model)
+        assert report == _reduce(name, (name,), old)
+        assert report == dataclasses.replace(ordered(model, trivial), property_name=name)
         found[name] = found.get(name, 0) + len(old)
     return found
 

@@ -21,7 +21,7 @@ from graphfaith.graphs import (
     model_skeleton,
     parse_graph_text,
 )
-from graphfaith import faithfulness
+from graphfaith import faithfulness, preorders
 from graphfaith.faithfulness import (
     decide_graphical,
     is_faithful,
@@ -280,7 +280,7 @@ def test_stability_screen_requires_verification():
     rogue = build_graph("abcd", ("none", "--", "<->", "<->", "--", "none"))
     p = minimal_preorder(rogue)
     # the rogue directing passes the stability screen for the 4-cycle model...
-    assert _stabilities_hold(j, p)
+    assert _stabilities_hold(j, p.leq_rows)
     assert check_semi_graphoid(j).passed and check_singleton_transitivity(j).passed
     # ...and the screen does guarantee minimal Markovness...
     assert is_minimally_markov(j, rogue)
@@ -292,6 +292,19 @@ def test_stability_screen_requires_verification():
     assert verdict.graphical
     assert rogue not in verdict.witnesses
     assert four_cycle in verdict.witnesses
+
+
+def test_search_builds_no_preorder(monkeypatch):
+    # The directing search hands the screen leq rows, never a Preorder.
+    graph = random_anterial_graph(random.Random(7), LABELS[:6], 0.4)  # 9 skeleton edges, 24 witnesses
+    model = induced_model(graph)
+
+    def no_preorder(*args, **kwargs):
+        raise AssertionError("the search built a Preorder")
+
+    monkeypatch.setattr(preorders, "Preorder", no_preorder)
+    verdict = decide_graphical(model)
+    assert verdict.graphical and graph in verdict.witnesses
 
 
 def test_stability_table_matches_violation_generators():
@@ -310,12 +323,12 @@ def test_stability_table_matches_violation_generators():
         models += 1
         for model in (j, flip_one_elementary(rng, j)):
             for directing in _iter_anterial_directings(model):
-                p = directing.preorder
+                rows = directing.rows
                 expected = (
-                    next(reference_ordered_up_violations(model, p), None) is None
-                    and next(reference_ordered_down_violations(model, p), None) is None
+                    next(reference_ordered_up_violations(model, rows), None) is None
+                    and next(reference_ordered_down_violations(model, rows), None) is None
                 )
-                assert _stabilities_hold(model, p) == expected
+                assert _stabilities_hold(model, rows) == expected
                 outcomes.append(expected)
     assert True in outcomes and False in outcomes
 
@@ -332,7 +345,7 @@ def test_necessity_disjunction_counterexample_documented():
     )
     assert not is_faithful(flipped, graph)
     assert check_singleton_transitivity(flipped).passed
-    assert _stabilities_hold(flipped, minimal_preorder(graph))
+    assert _stabilities_hold(flipped, minimal_preorder(graph).leq_rows)
     assert is_minimally_markov(flipped, graph)
 
 
@@ -594,7 +607,7 @@ def test_perturbation_breaks_faithfulness():
         assert not is_faithful(flipped, graph)
         assert (
             not check_singleton_transitivity(flipped).passed
-            or not _stabilities_hold(flipped, minimal_preorder(graph))
+            or not _stabilities_hold(flipped, minimal_preorder(graph).leq_rows)
             or not is_minimally_markov(flipped, graph)
         )
 

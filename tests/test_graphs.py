@@ -254,6 +254,20 @@ def test_separation_overlap_error():
         separates(g("a -- b"), {"a", "b"}, {"b"}, set())
 
 
+@pytest.mark.parametrize(
+    "name, a, b, c",
+    [
+        ("A and B", {"e", "d", "b", "a"}, {"d", "b", "c"}, set()),
+        ("A and C", {"e", "d", "b"}, {"a"}, {"d", "b", "c"}),
+        ("B and C", {"a"}, {"e", "d", "b"}, {"d", "b", "c"}),
+    ],
+)
+def test_separation_overlap_names_the_pair_and_its_smallest_label(name, a, b, c):
+    graph = g("a -- b\nb -- c\nc -- d\nd -- e")
+    with pytest.raises(GraphError, match=f"^{name} overlap on node 'b'$"):
+        separates(graph, a, b, c)
+
+
 def test_separation_empty_side_error():
     with pytest.raises(GraphError, match="non-empty"):
         separates(g("a -- b"), set(), {"b"}, set())

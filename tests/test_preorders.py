@@ -292,9 +292,9 @@ def assert_directings_match_reference(model, *, arrows_only=False):
     # With arrows only, the search yields the all-arrow graphs of the
     # unpruned reference, in its order.
     kwargs = {"options": (ARROW, "<-")} if arrows_only else {}
-    found = [(d.graph(), d.preorder) for d in _iter_anterial_directings(model, **kwargs)]
+    found = [(d.ground, d.graph(), d.rows) for d in _iter_anterial_directings(model, **kwargs)]
     expected = [
-        (h, minimal_preorder(h))
+        (model.ground, h, minimal_preorder(h).leq_rows)
         for h in product_filter_directings(model)
         if not arrows_only or all(e.kind == ARROW for e in h.edges)
     ]

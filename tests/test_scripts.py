@@ -36,3 +36,11 @@ def test_stability_screen_gap_counts_on_four_nodes():
         "b <-> c",
         "b -- d",
     ]
+
+
+def test_code_lines_modules_sum_to_the_total():
+    *modules, total = [line.split() for line in run_script("code_lines.py").splitlines()]
+    assert total[1] == "total"
+    assert [path for _, path in modules] == sorted(path for _, path in modules)
+    assert "src/graphfaith/models.py" in {path for _, path in modules}
+    assert sum(int(count) for count, _ in modules) == int(total[0]) > 0
