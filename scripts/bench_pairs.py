@@ -4,7 +4,7 @@
 Usage:
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --label NAME \\
-        --run search6:1 --run gaussian_ug8:2
+        --run search6:1 --run gaussian_ug8:2 --traced search6:1
 
 Each ``--run WORKLOAD:SEED`` runs ten pairs of ``python3 perfbench/run.py
 --workload WORKLOAD --seed SEED --seconds S --trace 0``, one run at a time,
@@ -14,7 +14,8 @@ from the parent's ``BENCHMARK.json``.  ``BENCH_NAME.json`` is written to the
 current directory with, per run and metric, each side's inclusive-method
 quartiles, the pairs the change won (ties count for neither), the ratio of
 the medians and the parent's interquartile range, and every run's raw
-values.
+values.  Each ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side,
+and the BENCH file keeps its per-layer metrics, per traced op.
 """
 
 from __future__ import annotations
@@ -91,9 +92,19 @@ def summarize_runs(runs: dict[str, list[dict]], directions: dict[str, str]) -> d
     }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def parse_spec(spec: str) -> tuple[str, int]:
+    """WORKLOAD:SEED, the seed 1 when left out."""
+    workload, _, seed = spec.partition(":")
+    return workload, int(seed or 1)
+
+
+def run_key(workload: str, seed: int) -> str:
+    return f"{workload}_seed{seed}" + ("_held_out" if seed == HELD_OUT_SEED else "")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=900)
     if proc.returncode not in (0, 1):  # 1: some op failed its check, still a result
         raise RuntimeError(f"{tree}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
@@ -106,6 +117,7 @@ def main() -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED")
     args = parser.parse_args()
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
@@ -113,8 +125,7 @@ def main() -> int:
     seconds = benchmark["run_seconds"]
     end_to_end = {}
     for spec in args.run:
-        workload, _, seed = spec.partition(":")
-        seed = int(seed or 1)
+        workload, seed = parse_spec(spec)
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -122,8 +133,17 @@ def main() -> int:
                 runs[side].append(result)
                 value = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: ops_per_s {value:.3f}", flush=True)
-        key = f"{workload}_seed{seed}" + ("_held_out" if seed == HELD_OUT_SEED else "")
-        end_to_end[key] = summarize_runs(runs, directions)
+        end_to_end[run_key(workload, seed)] = summarize_runs(runs, directions)
+    per_layer = {}
+    for spec in args.traced:
+        workload, seed = parse_spec(spec)
+        traced = {side: run_once(trees[side], workload, seed, seconds, trace=1) for side in SIDES}
+        per_layer[run_key(workload, seed)] = {
+            side: {"attempted": r["attempted"], "failed": r["failed"]}
+            | {name: m["value"] for name, m in r["metrics"].items()}
+            for side, r in traced.items()
+        }
+        print(f"{workload} seed {seed} traced", flush=True)
     bench = {
         "label": args.label,
         "hardware": f"{os.cpu_count()} CPUs ({platform.machine()}), Python {platform.python_version()}",
@@ -136,6 +156,8 @@ def main() -> int:
         ),
         "end_to_end": end_to_end,
     }
+    if per_layer:
+        bench["per_layer_trace1"] = per_layer
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}")

@@ -7,6 +7,9 @@ groups them by their induced independence model, and reports class sizes plus
 how the graphicality decision reconstructs each class from the model alone.
 
 Usage: python scripts/equivalence_class_census.py [n]   (default n=3, cap 4)
+
+Exits 1 when some class is not reconstructed up to its skeleton-matching
+members, so a run gates the graphicality search.
 """
 
 import sys
@@ -50,7 +53,8 @@ def main():
     print(f"classes reconstructed exactly: {exact}/{len(by_model)}")
     print(f"classes reconstructed up to skeleton-matching members: {skeleton_exact}/{len(by_model)}")
     print(f"elapsed: {time.time() - t0:.1f}s")
+    return 0 if skeleton_exact == len(by_model) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

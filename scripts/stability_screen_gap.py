@@ -5,7 +5,10 @@ For every model induced by an anterial graph on n labeled nodes, count the
 skeleton directings that pass the compatible-preorder stability screen and
 how many of those survive direct faithfulness verification.  The gap is the
 family of anterial-but-not-ancestral directings whose connecting walks must
-revisit nodes; the smallest examples live on the 4-cycle.
+revisit nodes; the smallest examples live on the 4-cycle.  It also counts
+the screen passes that break the unshielded-collider rule, which the
+graphicality search prunes by (see `faithfulness._collider_checks`), and the
+models with a row that rules out every directing.
 
 Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 """
@@ -13,7 +16,7 @@ Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 import sys
 import time
 
-from graphfaith.faithfulness import is_faithful
+from graphfaith.faithfulness import _collider_checks, is_faithful
 from graphfaith.generate import all_anterial_graphs
 from graphfaith.graphs import graph_to_text, induced_model
 from graphfaith.models import _stabilities_hold
@@ -29,25 +32,38 @@ def main():
     t0 = time.time()
     seen = set()
     screened_total = faithful_total = 0
+    breaking = breaking_false = ruled_out = 0
     gap_examples = []
     for g in all_anterial_graphs(LABELS[:n]):
         model = induced_model(g)
         if model.members in seen:
             continue
         seen.add(model.members)
+        checks = _collider_checks(model)
+        ruled_out += checks is None
+        # the directings that keep every collider check; none if a row rules all out
+        kept = {d.choices for d in _iter_anterial_directings(model, colliders=checks)} if checks is not None else set()
         for directing in _iter_anterial_directings(model):
             if not _stabilities_hold(model, directing.rows):
                 continue
             screened_total += 1
+            broken = directing.choices not in kept
+            breaking += broken
             h = directing.graph()
             if is_faithful(model, h):
                 faithful_total += 1
-            elif len(gap_examples) < 3:
+                continue
+            breaking_false += broken
+            if len(gap_examples) < 3:
                 gap_examples.append((model, h))
     print(f"distinct graph-induced models on {n} nodes: {len(seen)}")
     print(f"directings passing the stability screen: {screened_total}")
     print(f"of those, actually faithful: {faithful_total}")
     print(f"screen-only false positives: {screened_total - faithful_total}")
+    print(
+        f"screen passes breaking the collider rule: {breaking} ({breaking_false} of them false positives), "
+        f"models with a row that rules out every directing: {ruled_out}"
+    )
     for model, h in gap_examples:
         print("\nexample false positive (passes screen, not faithful):")
         print(graph_to_text(h).rstrip())

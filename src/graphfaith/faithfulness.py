@@ -13,6 +13,15 @@ anterial-but-not-ancestral directings; see _search).  The
 confirmed witnesses are exactly the minimally-Markov members of the model's
 Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
 run the same search with fewer options per skeleton pair.
+
+Where a pair has a choice of options (AnG and DAG), the search first runs
+pruned by the model's unshielded colliders (see _collider_checks): each
+triple i - k - j of the skeleton with i, j non-adjacent must be a collider
+at k exactly when the model's row for i, j keeps k out of every separating
+set.  The prune drops only directings that cannot be faithful, so a pruned
+pass finds the same witnesses in the same order.  When it finds none, the
+unpruned search runs once more, since the failure reports how many
+directings it tried and how many passed the screen.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .graphs import ARC, ARROW, LINE, MixedGraph, induced_model
 from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
+    _iter_bits,
     _stabilities_hold,
     check_composition,
     check_downward_stability,
@@ -159,6 +169,80 @@ def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
 _CLASS_OPTIONS = {"UG": (LINE,), "BG": (ARC,), "DAG": (ARROW, "<-"), "ANG": _EDGE_OPTIONS}
 
 
+def _sets_holding(n: int, k: int) -> int:
+    """The conditioning sets that hold node k, as bits of an elementary row:
+    bit C is set when bit k of C is."""
+    mask, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, int, bool], ...], ...] | None:
+    """The unshielded-collider checks of the model's skeleton, in the layout
+    that `_iter_anterial_directings` takes, or None when some row rules out
+    every faithful directing.
+
+    Take i, j non-adjacent in the skeleton and k adjacent to both.  In any
+    directing of the skeleton, the walk i, k, j has end sections that hold i
+    and j, which no conditioning set holds, so only the section at k
+    decides.  If both marks at k are heads (an arc, or an arrow into k), k
+    is a section of its own and a collider: the walk connects given C
+    exactly when k is in C.  Otherwise a line at k puts k in an end section,
+    or k is a section that is no collider; either way the walk connects
+    given C exactly when k is not in C.  So in a faithful directing, where
+    <i,j|C> is a member exactly when i and j are separated given C, a
+    collider at k leaves k out of every separating set of i, j, and a
+    non-collider puts k in every one.  i and j are non-adjacent, so their
+    row has a separating set, and the row decides which of the two holds.
+    A row with k in some separating sets but not in all fits neither, and
+    no directing of the skeleton is faithful.
+
+    Each check is listed at the later of the triple's two pairs, in the
+    sorted order of the skeleton pairs that the enumerator uses:
+    (earlier pair, end of the earlier pair at k, end of the later pair at
+    k, collider wanted), with end 0 the smaller node of a pair.
+    """
+    rows = model._elementary
+    pairs = sorted(pair for pair, row in rows.items() if not row)  # the enumerator's order
+    at = {}  # (x, k): (the pair of x and k, k's end of it)
+    neighbours = [0] * model.n
+    for e, (u, v) in enumerate(pairs):
+        at[u, v], at[v, u] = (e, 1), (e, 0)
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    holding = [_sets_holding(model.n, k) for k in range(model.n)]
+    checks: list[list[tuple[int, int, int, bool]]] = [[] for _ in pairs]
+    for (i, j), row in rows.items():
+        common = neighbours[i] & neighbours[j] if row else 0  # none for adjacent i, j
+        for k in _iter_bits(common):
+            inside = row & holding[k]
+            if inside and inside != row:
+                return None
+            (e, s), (d, t) = sorted((at[i, k], at[j, k]))
+            checks[d].append((e, s, t, not inside))
+    return tuple(map(tuple, checks))
+
+
+def _sweep(
+    model: IndependenceModel, options, edge_cap: int, model_cap: int, colliders=None
+) -> tuple[list[MixedGraph], int, int]:
+    """The witnesses among the directings that the enumerator yields, with
+    the number of directings tried and of screen passes."""
+    witnesses: list[MixedGraph] = []
+    tried = screened = 0
+    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=colliders):
+        tried += 1
+        if not _stabilities_hold(model, directing.rows):
+            continue
+        screened += 1
+        g = directing.graph()
+        if is_faithful(model, g, cap=model_cap):
+            witnesses.append(g)
+    return witnesses, tried, screened
+
+
 def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     """The one graphicality route: the class's gate, then every anterial
     directing of the skeleton whose pairs take the class's options (AnG all
@@ -179,25 +263,29 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     The UG and BG gates hold the closed-form conditions (an upward-stable
     singleton-transitive graphoid is faithful to its skeleton in lines, and
     dually in arcs), so their one candidate must be a witness.
+
+    With more than one option (AnG, DAG), a first pass skips every directing
+    that breaks an unshielded-collider check (see _collider_checks).  No
+    faithful directing breaks one, and the skipped ones leave the order of
+    the rest as it is, so that pass confirms the same witnesses in the same
+    order.  If it confirms none, or a row rules out every directing, the
+    unpruned pass runs: it alone counts the directings tried and the screen
+    passes for the failure.  A skeleton with no unshielded triple has no
+    check, and runs the unpruned pass only.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
     model_cap = max(caps.model_nodes, model.n)
     options = _CLASS_OPTIONS[kind]
-    witnesses: list[MixedGraph] = []
-    tried = 0
-    screened = 0
     # one option draws one graph, so only a choice between options is capped
     edge_cap = caps.skeleton_edges if len(options) > 1 else len(skeleton_pairs(model))
-    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options):
-        tried += 1
-        if not _stabilities_hold(model, directing.rows):
-            continue
-        screened += 1
-        g = directing.graph()
-        if is_faithful(model, g, cap=model_cap):
-            witnesses.append(g)
+    colliders = _collider_checks(model) if len(options) > 1 else None
+    witnesses: list[MixedGraph] = []
+    if colliders and any(colliders):
+        witnesses = _sweep(model, options, edge_cap, model_cap, colliders)[0]
+    if not witnesses:
+        witnesses, tried, screened = _sweep(model, options, edge_cap, model_cap)
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
     if len(options) == 1:
@@ -225,7 +313,11 @@ def decide_graphical(
     Exact either way: a faithful graph must have the model's skeleton, must
     be anterial (pruning drops only prefixes whose every completion is not)
     and must pass the stability screen, so the sweep sees every possible
-    witness.  Candidates are streamed, never held in a list.
+    witness.  Candidates are streamed, never held in a list.  The sweep
+    first skips the directings that break the model's unshielded colliders,
+    which no faithful graph does, and reruns unpruned only to count a
+    failure (see _search), so the witnesses, their order and the failure
+    counts are those of the unpruned sweep.
     """
     return _search(model, "ANG", caps)
 

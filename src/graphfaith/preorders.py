@@ -187,6 +187,8 @@ _EDGE_OPTIONS = (LINE, ARROW, "<-", ARC)
 _EDGE = {LINE: line, ARROW: arrow, "<-": lambda u, v: arrow(v, u), ARC: arc}
 # The option by (v <= u, u <= v): equivalent, below, above or incomparable.
 _BY_ORDER = {(True, True): LINE, (True, False): ARROW, (False, True): "<-", (False, False): ARC}
+# The marks each option puts at the ends of its pair (u, v): (head at u, head at v).
+_HEADS = {LINE: (False, False), ARROW: (False, True), "<-": (True, False), ARC: (True, True)}
 
 
 def _option(p: Preorder, u: str, v: str) -> str:
@@ -305,7 +307,11 @@ def _direct_edge(
 
 
 def _iter_anterial_directings(
-    model: IndependenceModel, *, edge_cap: int = DEFAULT_CAPS.skeleton_edges, options=_EDGE_OPTIONS
+    model: IndependenceModel,
+    *,
+    edge_cap: int = DEFAULT_CAPS.skeleton_edges,
+    options=_EDGE_OPTIONS,
+    colliders=None,
 ) -> Iterator[Directing]:
     """All anterial directings of the model's skeleton whose every pair takes
     one of `options`, in lexicographic order of the per-pair choice vector.
@@ -318,6 +324,15 @@ def _iter_anterial_directings(
     and their order are those of filtering all len(options)^k choice vectors.
     With (ARROW, "<-") these are the DAGs; with None, also every anterial
     graph on part of the skeleton.
+
+    `colliders`, for the graphicality search only, drops more: colliders[d]
+    lists the checks (e, s, t, collider) that fire once pair d is placed,
+    each on a triple whose other pair e comes earlier.  The middle node of
+    the triple is end s of pair e and end t of pair d (0 the first end, 1 the
+    second), and the check passes when both marks there are heads exactly
+    if `collider` says so.  A placement kept by the anterial pruning is also
+    dropped, with its subtree, when a check fails; the directings that are
+    left keep their order.  The options must then all be joins.
     """
     pairs = tuple(sorted(skeleton_pairs(model)))
     k = len(pairs)
@@ -330,6 +345,7 @@ def _iter_anterial_directings(
     if k == 0:
         yield Directing(ground, pairs, (), tuple(states[0][0]))
         return
+    heads = [_HEADS[option] for option in options] if colliders is not None else None
     picks = [-1] * k
     depth = 0
     while depth >= 0:
@@ -343,6 +359,10 @@ def _iter_anterial_directings(
         state = _direct_edge(ant, forbid, u, v, options[picks[depth]])
         if state is None:
             continue
+        if heads is not None:
+            here = heads[picks[depth]]
+            if any((heads[picks[e]][s] and here[t]) != collider for e, s, t, collider in colliders[depth]):
+                continue
         if depth + 1 < k:
             depth += 1
             states[depth] = state

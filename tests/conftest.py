@@ -435,6 +435,48 @@ def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
     return kept
 
 
+def reference_collider_demands(model: IndependenceModel):
+    """The unshielded-collider rule read statement by statement: for each
+    triple (i, k, j) of the model skeleton with i < j non-adjacent, whether
+    a faithful graph has a collider at k (k in no separating set of i, j)
+    or not (k in every one).  None when k is in some separating sets and
+    not in all."""
+    labels = model.ground
+    skeleton = skeleton_pairs(model)
+
+    def adjacent(x, y):
+        return (min(x, y), max(x, y)) in skeleton
+
+    wanted = {}
+    for i, j in itertools.combinations(labels, 2):
+        if adjacent(i, j):
+            continue
+        rest = [x for x in labels if x not in (i, j)]
+        separating = [
+            set(c)
+            for r in range(len(rest) + 1)
+            for c in itertools.combinations(rest, r)
+            if model.contains({i}, {j}, set(c))
+        ]
+        for k in rest:
+            if adjacent(i, k) and adjacent(j, k):
+                inside = {k in c for c in separating}
+                if len(inside) == 2:
+                    return None
+                wanted[i, k, j] = inside == {False}
+    return wanted
+
+
+def keeps_collider_demands(g: MixedGraph, wanted) -> bool:
+    """Every demanded triple of g has two heads at its middle node exactly
+    when a collider is wanted there."""
+    edge = {frozenset((e.u, e.v)): e for e in g.edges}
+    return all(
+        (edge[frozenset((i, k))].mark_at(k) == HEAD and edge[frozenset((k, j))].mark_at(k) == HEAD) == collider
+        for (i, k, j), collider in wanted.items()
+    )
+
+
 def reference_triple_masks(n):
     """The triple generator by decoding every base-4 code below 4^n, in code
     order: all disjoint (A, B, C) with A, B non-empty, canonical side order."""

@@ -56,3 +56,10 @@ def test_summarize_runs_layout():
     assert out["metrics"]["ops_per_s"]["change_wins"] == 2
     assert out["metrics"]["setup_s"]["change_wins"] == 0
     assert out["runs"]["change"] == [{"ops_per_s": 3.0, "setup_s": 0.5}, {"ops_per_s": 4.0, "setup_s": 0.5}]
+
+
+def test_run_specs_and_keys():
+    assert bench_pairs.parse_spec("search6:2") == ("search6", 2)
+    assert bench_pairs.parse_spec("search6") == ("search6", 1)
+    assert bench_pairs.run_key("search6", 1) == "search6_seed1"
+    assert bench_pairs.run_key("search6", 2) == "search6_seed2_held_out"

@@ -1,0 +1,193 @@
+"""The directing search pruned by unshielded colliders, against the unpruned search.
+
+The pruned pass must confirm the same witnesses in the same order, and a
+search without a witness must report the unpruned counts, byte for byte.
+The unpruned route is `_search` with `_collider_checks` answering None, the
+answer for a row that rules out every directing, which runs only the
+unpruned pass.
+"""
+
+import hashlib
+import json
+import random
+from functools import lru_cache
+
+import pytest
+
+from graphfaith import faithfulness
+from graphfaith.faithfulness import _collider_checks, restricted_graphical
+from graphfaith.generate import all_anterial_graphs, flip_one_elementary, random_anterial_graph
+from graphfaith.graphs import induced_model, parse_graph_text
+from graphfaith.limits import DEFAULT_CAPS
+from graphfaith.models import skeleton_pairs
+from graphfaith.preorders import _iter_anterial_directings, enumerate_compatible_preorders
+
+from conftest import keeps_collider_demands, reference_collider_demands
+
+@lru_cache(maxsize=None)
+def census_models():
+    """Every graph-induced model on four labelled nodes, once each."""
+    models = {}
+    for g in all_anterial_graphs("abcd"):
+        model = induced_model(g)
+        models.setdefault(model.members, model)
+    return tuple(models.values())
+
+
+@lru_cache(maxsize=None)
+def seeded_graph_models():
+    """Graph-induced models on 5 to 7 nodes with at most 8 skeleton edges."""
+    rng = random.Random(2024)
+    models = []
+    while len(models) < 16:
+        model = induced_model(random_anterial_graph(rng, "abcdefg"[: rng.randint(5, 7)], 0.4))
+        if len(skeleton_pairs(model)) <= 8:
+            models.append(model)
+    return tuple(models)
+
+
+@lru_cache(maxsize=None)
+def gate_passing_models_without_witness():
+    """Seeded one-statement flips of graph-induced 4- to 6-node models that
+    pass the AnG gate and have no witness: (consistent rows, inconsistent)."""
+    rng = random.Random(5)
+    consistent, inconsistent = [], []
+    while len(consistent) < 12 or len(inconsistent) < 6:
+        n = rng.randint(4, 6)
+        model = flip_one_elementary(rng, induced_model(random_anterial_graph(rng, "abcdef"[:n], 0.5)))
+        if len(skeleton_pairs(model)) > 8 or faithfulness._gate_failure(model, "ANG", DEFAULT_CAPS):
+            continue
+        kept = consistent if reference_collider_demands(model) is not None else inconsistent
+        if len(kept) < (12 if kept is consistent else 6) and not restricted_graphical(model, "AnG").graphical:
+            kept.append(model)
+    return tuple(consistent), tuple(inconsistent)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Each pass of the search's enumerator: [pruned, directings yielded]."""
+    calls = []
+    original = faithfulness._iter_anterial_directings
+
+    def recording(model, **kwargs):
+        call = [kwargs.get("colliders") is not None, 0]
+        calls.append(call)
+        for directing in original(model, **kwargs):
+            call[1] += 1
+            yield directing
+
+    monkeypatch.setattr(faithfulness, "_iter_anterial_directings", recording)
+    return calls
+
+
+def unpruned_json(monkeypatch, model, kind):
+    with monkeypatch.context() as patch:
+        patch.setattr(faithfulness, "_collider_checks", lambda model: None)
+        return json.dumps(restricted_graphical(model, kind).to_json_dict())
+
+
+def assert_same_verdict(monkeypatch, passes, model, kind):
+    """The verdict JSON equals the unpruned one.  A pruned pass runs exactly
+    when the model has a check; a witness ends the search after it, and a
+    failure reruns unpruned, whose count the payload reports."""
+    verdict = restricted_graphical(model, kind)
+    made = [tuple(call) for call in passes]
+    passes.clear()
+    assert json.dumps(verdict.to_json_dict()) == unpruned_json(monkeypatch, model, kind)
+    (unpruned,) = passes
+    passes.clear()
+    checks = _collider_checks(model)
+    if checks is None or not any(checks):
+        assert made == [tuple(unpruned)]
+    elif verdict.graphical:
+        assert made == [(True, made[0][1])]
+    else:
+        assert made == [(True, made[0][1]), tuple(unpruned)]
+        counts = verdict.failure.witness
+        assert counts["directings_tried" if kind == "AnG" else "dags_tried"] == unpruned[1]
+    return verdict
+
+
+def assert_prune_is_the_collider_rule(model, kind):
+    """The pruned enumeration yields exactly the unpruned directings that
+    keep the statement-by-statement collider rule, in the same order."""
+    wanted = reference_collider_demands(model)
+    checks = _collider_checks(model)
+    assert (checks is None) == (wanted is None)
+    if wanted is None:
+        return
+    options = faithfulness._CLASS_OPTIONS[kind.upper()]
+    pruned = [d.choices for d in _iter_anterial_directings(model, options=options, colliders=checks)]
+    unpruned = _iter_anterial_directings(model, options=options)
+    expected = [d.choices for d in unpruned if keeps_collider_demands(d.graph(), wanted)]
+    assert pruned == expected
+
+
+@pytest.mark.parametrize("kind", ["AnG", "DAG"])
+def test_census_verdicts_match_the_unpruned_search(monkeypatch, passes, kind):
+    models = census_models()
+    assert len(models) == 299
+    graphical = 0
+    for model in models:
+        graphical += assert_same_verdict(monkeypatch, passes, model, kind).graphical
+    # every model is graph-induced, so AnG finds a witness for each; a DAG
+    # search fails wherever the class holds no DAG and runs both passes
+    assert graphical == 299 if kind == "AnG" else 0 < graphical < 299
+
+
+@pytest.mark.parametrize("kind", ["AnG", "DAG"])
+def test_census_prune_is_the_collider_rule(kind):
+    for model in census_models():
+        assert_prune_is_the_collider_rule(model, kind)
+
+
+@pytest.mark.parametrize("kind", ["AnG", "DAG"])
+def test_seeded_five_to_seven_node_verdicts_match(monkeypatch, passes, kind):
+    models = seeded_graph_models()
+    assert {model.n for model in models} == {5, 6, 7}
+    for model in models:
+        verdict = assert_same_verdict(monkeypatch, passes, model, kind)
+        assert verdict.graphical or kind == "DAG"
+        assert_prune_is_the_collider_rule(model, kind)
+
+
+@pytest.mark.parametrize("kind", ["AnG", "DAG"])
+def test_failures_without_witness_keep_their_payload(monkeypatch, passes, kind):
+    consistent, inconsistent = gate_passing_models_without_witness()
+    passes.clear()  # the first call above searched each model
+    for model in consistent + inconsistent:
+        verdict = assert_same_verdict(monkeypatch, passes, model, kind)
+        assert not verdict.graphical
+        assert_prune_is_the_collider_rule(model, kind)
+    for model in inconsistent:
+        assert reference_collider_demands(model) is None
+
+
+def test_seed_one_seven_node_model_pins(passes):
+    # 207,259 anterial directings unpruned; 14 keep every collider check.
+    model = induced_model(random_anterial_graph(random.Random(1), "abcdefg", 0.5))
+    verdict = faithfulness.decide_graphical(model)
+    assert passes == [[True, 14]]
+    assert len(verdict.witnesses) == 2
+    # the verdict JSON's SHA-256 as the unpruned search printed it
+    digest = hashlib.sha256(json.dumps(verdict.to_json_dict()).encode()).hexdigest()
+    assert digest == "04aeae805ae39fefc2b1fdb1adc65d3d2a5c0da6667210a9cdf4e45e9fc0de0c"
+
+
+def test_full_enumerations_keep_their_counts():
+    assert sum(1 for _ in all_anterial_graphs("abcd")) == 5000
+    assert sum(1 for model in census_models() for _ in enumerate_compatible_preorders(model)) == 30072
+
+
+@pytest.mark.parametrize("kind, text", [("UG", "a -- b\nb -- c"), ("BG", "a <-> b\nb <-> c")])
+def test_one_option_searches_take_no_prune(monkeypatch, passes, kind, text):
+    monkeypatch.setattr(faithfulness, "_collider_checks", None)  # a call would fail
+    assert restricted_graphical(induced_model(parse_graph_text(text)), kind).graphical
+    assert passes == [[False, 1]]
+
+
+def test_collider_checks_layout():
+    # a -> c <- b, c -- d: pairs (a,c) (b,c) (c,d); a, b meet at c as a
+    # collider; a, d and b, d meet at c as non-colliders
+    model = induced_model(parse_graph_text("a -> c\nb -> c\nc -- d"))
+    assert _collider_checks(model) == ((), ((0, 1, 1, True),), ((0, 1, 0, False), (1, 1, 0, False)))

@@ -1,9 +1,12 @@
 """End-to-end runs of the demo scripts under scripts/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from graphfaith.faithfulness import FaithfulnessVerdict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,20 +25,39 @@ def test_stability_screen_gap_counts_on_four_nodes():
     # Over every graph-induced model on 4 nodes, 78 of the 5000 directings
     # that pass the stability screen are not faithful; the first is the
     # 4-cycle with two arcs that the directing search documents.
+    # No screen pass breaks the unshielded-collider rule that the search
+    # prunes by, false positives included, and no row rules out a skeleton.
     lines = run_script("stability_screen_gap.py", "4").splitlines()
-    assert lines[:4] == [
+    assert lines[:5] == [
         "distinct graph-induced models on 4 nodes: 299",
         "directings passing the stability screen: 5000",
         "of those, actually faithful: 4922",
         "screen-only false positives: 78",
+        "screen passes breaking the collider rule: 0 (0 of them false positives), "
+        "models with a row that rules out every directing: 0",
     ]
-    assert lines[5:10] == [
+    assert lines[6:11] == [
         "example false positive (passes screen, not faithful):",
         "a -- c",
         "a <-> d",
         "b <-> c",
         "b -- d",
     ]
+
+
+def test_census_exits_1_when_a_class_is_not_reconstructed(monkeypatch, capsys):
+    # run_script checks for exit 0 on the real search; a search that finds
+    # no witness leaves every class unreconstructed
+    assert run_script("equivalence_class_census.py", "3").splitlines()[4] == (
+        "classes reconstructed up to skeleton-matching members: 11/11"
+    )
+    spec = importlib.util.spec_from_file_location("census", ROOT / "scripts" / "equivalence_class_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(sys, "argv", ["equivalence_class_census.py", "3"])
+    monkeypatch.setattr(census, "decide_graphical", lambda model: FaithfulnessVerdict(False, (), None))
+    assert census.main() == 1
+    assert "classes reconstructed up to skeleton-matching members: 0/11" in capsys.readouterr().out
 
 
 def test_code_lines_modules_sum_to_the_total():
