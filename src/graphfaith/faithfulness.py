@@ -7,9 +7,10 @@ of the skeleton depth first and prunes every prefix that already closes a
 semi-directed cycle or puts an arc between a node and its anterior; adding
 edges never removes either failure, so no anterial directing is lost.  Each
 candidate is screened by the compatible-preorder stability conditions
-(necessary, and cheap) and then confirmed by direct model equality (the
-confirmation is load-bearing: the screen alone over-accepts on some
-anterial-but-not-ancestral directings; see _search).  The
+(necessary, and cheap) and then confirmed by `is_faithful`, which compares
+the model's elementary rows with the graph's separation rows and builds no
+model (the confirmation is load-bearing: the screen alone over-accepts on
+some anterial-but-not-ancestral directings; see _search).  The
 confirmed witnesses are exactly the minimally-Markov members of the model's
 Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
 run the same search with fewer options per skeleton pair.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GraphError, InternalCheckError, ModelError
-from .graphs import ARC, ARROW, LINE, MixedGraph, induced_model
+from .graphs import ARC, ARROW, LINE, MixedGraph, _require_model_cap, _table_matches, induced_model
 from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
@@ -96,9 +97,22 @@ def is_minimally_markov(
 
 
 def is_faithful(model: IndependenceModel, g: MixedGraph, *, cap: int = DEFAULT_CAPS.model_nodes) -> bool:
-    """Exact equality of the model and the graph's induced model."""
+    """Exact equality of the model and the graph's induced model, read row
+    by row: no model is built.
+
+    The induced model is `model_from_elementary` of g's separation table.
+    That model's elementary rows are the table, and its rule (<A,B|C> when
+    every pair across A and B is separated given C) gives any model closed
+    under decomposition and composition from its own rows.  So the model
+    equals it exactly when the model's rows equal the table and the model is
+    so closed.  Separation models are compositional graphoids, so a model
+    that is not a compositional semi-graphoid is faithful to no graph.  The
+    rows are compared by `_table_matches`, which asks g only for the rows of
+    its non-adjacent pairs and stops at the first mismatch.
+    """
     _require_same_ground(model, g)
-    return induced_model(g, cap=cap) == model
+    _require_model_cap(g, cap)
+    return model._compositional and _table_matches(g, model._elementary)
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,7 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     so the skeleton drawn in lines or in arcs, and no other candidate).
 
     Each candidate is screened by both ordered stabilities of its minimal
-    preorder and, when it passes, verified by direct model equality.  The
+    preorder and, when it passes, verified row by row (`is_faithful`).  The
     screen is necessary (a faithful graph always satisfies both ordered
     stabilities w.r.t. its minimal preorder) but not sufficient: on
     anterial graphs that are not ancestral, a connecting walk may have to
@@ -308,8 +322,8 @@ def decide_graphical(
     they pass, every anterial directing of the model's skeleton is tried, as
     the pruned depth-first search yields it: its minimal preorder is
     compatible by construction, and the directing is a witness when both
-    ordered stabilities hold and direct verification confirms faithfulness
-    (see _search for why the second step is load-bearing).
+    ordered stabilities hold and `is_faithful` confirms it row by row (see
+    _search for why the second step is load-bearing).
     Exact either way: a faithful graph must have the model's skeleton, must
     be anterial (pruning drops only prefixes whose every completion is not)
     and must pass the stability screen, so the sweep sees every possible

@@ -13,17 +13,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphError, ParseError
 from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
     _iter_bits,
+    _iter_subsets,
     _model_where,
     _node_declaration,
     _require_label,
-    elementary_table,
     model_from_elementary,
     skeleton_pairs,
 )
@@ -476,10 +476,8 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
     is_ag = is_simple and no_directed_cycle and no_heads_at_lines and arcs_ancestral
     is_maximal: bool | None = None
     if is_cmg and len(g.nodes) <= maximality_cap:
-        # Maximal: every non-adjacent pair has a separating set.
-        ground = g._ground
-        table = _separation_table(g)
-        is_maximal = all(row or g.is_adjacent(ground[i], ground[j]) for (i, j), row in table.items())
+        # Maximal: every non-adjacent pair has a separating set; each pair stops at its first.
+        is_maximal = all(next(_separating_sets(g, i, j), None) is not None for i, j in _non_adjacent(g))
     return GraphClassReport(
         is_simple=is_simple,
         is_cmg=is_cmg,
@@ -500,16 +498,58 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _subset_labels(ground: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """labels[mask]: the labels of the set bits of mask, over `ground`."""
+    return tuple(frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << len(ground)))
+
+
+def _non_adjacent(g: MixedGraph) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of g's sorted nodes that no edge joins."""
+    ground = g._ground
+    for i in range(len(ground)):
+        for j in range(i + 1, len(ground)):
+            if not g.is_adjacent(ground[i], ground[j]):
+                yield i, j
+
+
+def _separating_sets(g: MixedGraph, i: int, j: int) -> Iterator[int]:
+    """The conditioning masks that separate nodes i and j of g's sorted
+    nodes, the empty one first and then increasing."""
+    labels = _subset_labels(g._ground)
+    rest = (len(labels) - 1) ^ (1 << i) ^ (1 << j)
+    a, b = labels[1 << i], labels[1 << j]
+    for cm in _iter_subsets(rest):
+        if separates(g, a, b, labels[cm]):
+            yield cm
+
+
+def _separation_row(g: MixedGraph, i: int, j: int) -> int:
+    """Row (i, j) of g's separation table: bit C is set when C separates i and j."""
+    return sum(1 << cm for cm in _separating_sets(g, i, j))
+
+
 def _separation_table(g: MixedGraph) -> dict[tuple[int, int], int]:
     """The `elementary_table` of g over its sorted nodes: bit C of row (i, j)
     is set when C separates i and j."""
-    ground = g._ground
-    labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << len(ground))]
+    n = len(g._ground)
+    return {(i, j): _separation_row(g, i, j) for i in range(n) for j in range(i + 1, n)}
 
-    def holds(i: int, j: int, cm: int) -> bool:
-        return separates(g, labels[1 << i], labels[1 << j], labels[cm])
 
-    return elementary_table(len(ground), holds)
+def _table_matches(g: MixedGraph, table: dict[tuple[int, int], int]) -> bool:
+    """Whether `table`, in the layout of `elementary_table` over g's sorted
+    nodes, is g's separation table.  Adjacent nodes are never separated, so
+    their rows must be 0; each other pair asks g for its row, and the first
+    mismatch decides."""
+    at = {label: i for i, label in enumerate(g._ground)}
+    if any(table[at[u], at[v]] for u, v in g.adjacent_pairs):
+        return False
+    return all(table[i, j] == _separation_row(g, i, j) for i, j in _non_adjacent(g))
+
+
+def _require_model_cap(g: MixedGraph, cap: int) -> None:
+    if len(g.nodes) > cap:
+        raise GraphError(f"graph has {len(g.nodes)} nodes, above the cap {cap}")
 
 
 # A few recent models: a 10-node model holds 128 KB of members, and as much
@@ -519,7 +559,7 @@ def _induced_model_cached(g: MixedGraph, via_elementary: bool) -> IndependenceMo
     ground = g._ground
     if via_elementary:
         return model_from_elementary(ground, _separation_table(g))
-    labels = [frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << len(ground))]
+    labels = _subset_labels(ground)
     return _model_where(ground, lambda am, bm, cm: separates(g, labels[am], labels[bm], labels[cm]))
 
 
@@ -538,8 +578,7 @@ def induced_model(
     queries every triple directly, and `cross_check=True` runs both routes
     and insists they agree.
     """
-    if len(g.nodes) > cap:
-        raise GraphError(f"graph has {len(g.nodes)} nodes, above the cap {cap}")
+    _require_model_cap(g, cap)
     result = _induced_model_cached(g, via_elementary)
     if cross_check:
         other = _induced_model_cached(g, not via_elementary)
@@ -562,10 +601,16 @@ def model_skeleton(model: IndependenceModel) -> MixedGraph:
 
 
 def markov_equivalent(g1: MixedGraph, g2: MixedGraph, *, cap: int = DEFAULT_CAPS.model_nodes) -> bool:
-    """True when both graphs induce the same independence model."""
+    """True when both graphs induce the same independence model.
+
+    The induced model is `model_from_elementary` of the separation table,
+    whose elementary rows are that table, so equal tables mean equal models
+    and no model is built.
+    """
     if g1.nodes != g2.nodes:
         raise GraphError("graphs have different node sets")
-    return induced_model(g1, cap=cap) == induced_model(g2, cap=cap)
+    _require_model_cap(g1, cap)
+    return _table_matches(g2, _separation_table(g1))
 
 
 # ----------------------------------------------------------------------

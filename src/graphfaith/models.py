@@ -282,6 +282,12 @@ class IndependenceModel:
                 return False
         return _joins_hold(self, 3, 0)
 
+    @cached_property
+    def _compositional(self) -> bool:
+        """A semi-graphoid closed under composition (see check_composition).
+        Every separation model is one."""
+        return self._semi_graphoid and _joins_hold(self, 0, 0)
+
     # -- construction --------------------------------------------------
 
     @classmethod
@@ -693,7 +699,7 @@ def check_composition(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_a
     composition over D' (induction on |D|) gives <A,B u D|C>.
     """
     _check_set_cap(model, cap)
-    passed = model._semi_graphoid and _joins_hold(model, 0, 0)
+    passed = model._compositional
     return _reduce("composition", ("composition",), () if passed else _iter_composition_violations(model))
 
 

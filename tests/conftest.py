@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import hypothesis
 from hypothesis import strategies as st
 
-from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, line, separates
+from graphfaith.generate import all_anterial_graphs
+from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, induced_model, line, separates
 from graphfaith.models import (
     IndependenceModel,
     _base4_weights,
@@ -433,6 +435,16 @@ def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
         if g.semi_directed_cycle() is None and g.violating_arc() is None:
             kept.append(g)
     return kept
+
+
+@lru_cache(maxsize=None)
+def census_models():
+    """Every graph-induced model on four labelled nodes, once each."""
+    models = {}
+    for g in all_anterial_graphs("abcd"):
+        model = induced_model(g)
+        models.setdefault(model.members, model)
+    return tuple(models.values())
 
 
 def reference_collider_demands(model: IndependenceModel):

@@ -22,16 +22,7 @@ from graphfaith.limits import DEFAULT_CAPS
 from graphfaith.models import skeleton_pairs
 from graphfaith.preorders import _iter_anterial_directings, enumerate_compatible_preorders
 
-from conftest import keeps_collider_demands, reference_collider_demands
-
-@lru_cache(maxsize=None)
-def census_models():
-    """Every graph-induced model on four labelled nodes, once each."""
-    models = {}
-    for g in all_anterial_graphs("abcd"):
-        model = induced_model(g)
-        models.setdefault(model.members, model)
-    return tuple(models.values())
+from conftest import census_models, keeps_collider_demands, reference_collider_demands
 
 
 @lru_cache(maxsize=None)
