@@ -36,6 +36,7 @@ from .limits import DEFAULT_CAPS
 from .models import (
     IndependenceModel,
     _iter_bits,
+    _sets_holding,
     _stabilities_hold,
     check_composition,
     check_downward_stability,
@@ -107,8 +108,10 @@ def is_faithful(model: IndependenceModel, g: MixedGraph, *, cap: int = DEFAULT_C
     equals it exactly when the model's rows equal the table and the model is
     so closed.  Separation models are compositional graphoids, so a model
     that is not a compositional semi-graphoid is faithful to no graph.  The
-    rows are compared by `_table_matches`, which asks g only for the rows of
-    its non-adjacent pairs and stops at the first mismatch.
+    rows are compared by `_table_matches`, which reads g's rows of its
+    non-adjacent pairs from `graphs._rows_from` (one fixpoint per source
+    node for every conditioning set at once, and no `separates` call) and
+    stops at the first mismatch.
     """
     _require_same_ground(model, g)
     _require_model_cap(g, cap)
@@ -183,16 +186,6 @@ def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
 _CLASS_OPTIONS = {"UG": (LINE,), "BG": (ARC,), "DAG": (ARROW, "<-"), "ANG": _EDGE_OPTIONS}
 
 
-def _sets_holding(n: int, k: int) -> int:
-    """The conditioning sets that hold node k, as bits of an elementary row:
-    bit C is set when bit k of C is."""
-    mask, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
-    while width < 1 << n:
-        mask |= mask << width
-        width <<= 1
-    return mask
-
-
 def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, int, bool], ...], ...] | None:
     """The unshielded-collider checks of the model's skeleton, in the layout
     that `_iter_anterial_directings` takes, or None when some row rules out
@@ -226,7 +219,7 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, in
         at[u, v], at[v, u] = (e, 1), (e, 0)
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
-    holding = [_sets_holding(model.n, k) for k in range(model.n)]
+    holding = _sets_holding(model.n)
     checks: list[list[tuple[int, int, int, bool]]] = [[] for _ in pairs]
     for (i, j), row in rows.items():
         common = neighbours[i] & neighbours[j] if row else 0  # none for adjacent i, j

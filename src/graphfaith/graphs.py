@@ -5,7 +5,10 @@ collider section has a node in C and every non-collider section avoids C.
 Walks may revisit nodes and edges, so the decision procedure runs over the
 finite state space (node, entry mark of the current section, whether the
 section has touched C); `connecting_walk_oracle` independently searches for
-an explicit walk and re-checks it against the raw definition.
+an explicit walk and re-checks it against the raw definition.  `_rows_from`
+runs the same states from one source for every conditioning set at once;
+verification, Markov equivalence and maximality read its rows, and
+`separates` answers single queries and builds `induced_model`'s table.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphError, ParseError
@@ -24,6 +28,7 @@ from .models import (
     _model_where,
     _node_declaration,
     _require_label,
+    _sets_holding,
     model_from_elementary,
     skeleton_pairs,
 )
@@ -126,6 +131,29 @@ class MixedGraph:
             inc[e.u].append((e.v, e.mark_at(e.u), e.mark_at(e.v), e.kind == LINE))
             inc[e.v].append((e.u, e.mark_at(e.v), e.mark_at(e.u), e.kind == LINE))
         return {v: tuple(sorted(items)) for v, items in inc.items()}
+
+    @cached_property
+    def _moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The moves of `_rows_from` over the sorted nodes.  State
+        4v + 2h + t is node v, entered with a head (h = 1) or a tail, with
+        its section touching C (t = 1) or not; moves[s] holds (target, sets)
+        pairs, shared by every graph on as many nodes (`_move_pairs`): the
+        conditioning sets whose bits cross to target."""
+        at = {label: i for i, label in enumerate(self._ground)}
+        enter, stay = _move_pairs(len(at))
+        moves: list[list[tuple[int, int]]] = [[] for _ in range(4 * len(at))]
+        for e in self.edges:
+            for v, w in ((e.u, e.v), (e.v, e.u)):
+                x, y = 4 * at[v], 2 * at[w]
+                if e.kind == LINE:  # the section goes on, with its entry mark
+                    for head in (0, 1):
+                        moves[x + 2 * head] += enter[y + head]
+                        moves[x + 2 * head + 1].append(stay[y + head])
+                else:  # the section closes: it must have touched C exactly when it is a collider
+                    pairs = enter[y + (e.mark_at(w) == HEAD)]
+                    moves[x] += pairs
+                    moves[x + 2 + (e.mark_at(v) == HEAD)] += pairs
+        return tuple(map(tuple, moves))
 
     @cached_property
     def _edges_at(self) -> dict[str, tuple[tuple[Edge, str], ...]]:
@@ -294,6 +322,49 @@ def separates(g: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str
                 return False
             queue.append(state)
     return True
+
+
+@lru_cache(maxsize=4)
+def _move_pairs(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, int], ...]]:
+    """The (target, sets) pairs of `MixedGraph._moves` on n nodes, by the
+    state 2k that a move enters (node k // 2, with a head when k is odd):
+    enter[k] sends the sets that hold the node to its touched state and the
+    others to its untouched one, and stay[k] sends every set to the touched
+    state."""
+    holding = _sets_holding(n)
+    full = (1 << (1 << n)) - 1
+    enter = tuple(((2 * k + 1, holding[k // 2]), (2 * k, full ^ holding[k // 2])) for k in range(2 * n))
+    return enter, tuple((2 * k + 1, full) for k in range(2 * n))
+
+
+def _rows_from(g: MixedGraph, i: int) -> list[int]:
+    """rows[j]: row (i, j) of g's separation table over its sorted nodes,
+    for every j != i, from one fixpoint for all conditioning sets at once.
+
+    The states and moves are those of `separates`, run from node i alone.
+    Each state carries one bit per conditioning set C, set when the state is
+    reachable given C, and a move sends each set's bit down the branch that
+    C takes (`MixedGraph._moves`).  Only the sets new to a state move on.  A
+    set separates i and j when it holds neither and no untouched state at j
+    is reachable given it.
+    """
+    moves = g._moves
+    holding = _sets_holding(len(g._ground))
+    free = ((1 << (1 << len(holding))) - 1) ^ holding[i]  # the sets that leave i out
+    reach = [0] * len(moves)
+    fresh = reach[:]  # the sets a state has gained since it last moved on
+    reach[4 * i] = fresh[4 * i] = free
+    queue = [4 * i]
+    for s in queue:  # first in, first out, so that a state's gains gather before it moves on
+        bits, fresh[s] = fresh[s], 0
+        for t, sets in moves[s]:
+            new = bits & sets & ~reach[t]
+            if new:
+                reach[t] |= new
+                if not fresh[t]:
+                    queue.append(t)
+                fresh[t] |= new
+    return [free & ~(h | reach[4 * j] | reach[4 * j + 2]) for j, h in enumerate(holding)]
 
 
 @dataclass(frozen=True)
@@ -476,8 +547,8 @@ def classify(g: MixedGraph, *, maximality_cap: int = DEFAULT_CAPS.model_nodes) -
     is_ag = is_simple and no_directed_cycle and no_heads_at_lines and arcs_ancestral
     is_maximal: bool | None = None
     if is_cmg and len(g.nodes) <= maximality_cap:
-        # Maximal: every non-adjacent pair has a separating set; each pair stops at its first.
-        is_maximal = all(next(_separating_sets(g, i, j), None) is not None for i, j in _non_adjacent(g))
+        # Maximal: every non-adjacent pair has a separating set.
+        is_maximal = all(row for _, _, row in _non_adjacent_rows(g))
     return GraphClassReport(
         is_simple=is_simple,
         is_cmg=is_cmg,
@@ -504,29 +575,12 @@ def _subset_labels(ground: tuple[str, ...]) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(ground[k] for k in _iter_bits(mask)) for mask in range(1 << len(ground)))
 
 
-def _non_adjacent(g: MixedGraph) -> Iterator[tuple[int, int]]:
-    """The pairs i < j of g's sorted nodes that no edge joins."""
-    ground = g._ground
-    for i in range(len(ground)):
-        for j in range(i + 1, len(ground)):
-            if not g.is_adjacent(ground[i], ground[j]):
-                yield i, j
-
-
-def _separating_sets(g: MixedGraph, i: int, j: int) -> Iterator[int]:
-    """The conditioning masks that separate nodes i and j of g's sorted
-    nodes, the empty one first and then increasing."""
-    labels = _subset_labels(g._ground)
-    rest = (len(labels) - 1) ^ (1 << i) ^ (1 << j)
-    a, b = labels[1 << i], labels[1 << j]
-    for cm in _iter_subsets(rest):
-        if separates(g, a, b, labels[cm]):
-            yield cm
-
-
 def _separation_row(g: MixedGraph, i: int, j: int) -> int:
-    """Row (i, j) of g's separation table: bit C is set when C separates i and j."""
-    return sum(1 << cm for cm in _separating_sets(g, i, j))
+    """Row (i, j) of g's separation table, one `separates` call per
+    conditioning set: bit C is set when C separates i and j."""
+    labels = _subset_labels(g._ground)
+    a, b, rest = labels[1 << i], labels[1 << j], (len(labels) - 1) ^ (1 << i) ^ (1 << j)
+    return sum(1 << cm for cm in _iter_subsets(rest) if separates(g, a, b, labels[cm]))
 
 
 def _separation_table(g: MixedGraph) -> dict[tuple[int, int], int]:
@@ -536,15 +590,28 @@ def _separation_table(g: MixedGraph) -> dict[tuple[int, int], int]:
     return {(i, j): _separation_row(g, i, j) for i in range(n) for j in range(i + 1, n)}
 
 
+def _non_adjacent_rows(g: MixedGraph) -> Iterator[tuple[int, int, int]]:
+    """(i, j, row (i, j) of g's separation table) for each pair i < j of
+    g's sorted nodes that no edge joins, in order, from one `_rows_from`
+    fixpoint per source."""
+    ground = g._ground
+    for i, u in enumerate(ground):
+        rows = None
+        for j in range(i + 1, len(ground)):
+            if not g.is_adjacent(u, ground[j]):
+                rows = rows or _rows_from(g, i)
+                yield i, j, rows[j]
+
+
 def _table_matches(g: MixedGraph, table: dict[tuple[int, int], int]) -> bool:
     """Whether `table`, in the layout of `elementary_table` over g's sorted
     nodes, is g's separation table.  Adjacent nodes are never separated, so
-    their rows must be 0; each other pair asks g for its row, and the first
-    mismatch decides."""
+    their rows must be 0; the other rows come from `_non_adjacent_rows`, and
+    the first mismatch decides."""
     at = {label: i for i, label in enumerate(g._ground)}
     if any(table[at[u], at[v]] for u, v in g.adjacent_pairs):
         return False
-    return all(table[i, j] == _separation_row(g, i, j) for i, j in _non_adjacent(g))
+    return all(table[i, j] == row for i, j, row in _non_adjacent_rows(g))
 
 
 def _require_model_cap(g: MixedGraph, cap: int) -> None:
@@ -605,12 +672,15 @@ def markov_equivalent(g1: MixedGraph, g2: MixedGraph, *, cap: int = DEFAULT_CAPS
 
     The induced model is `model_from_elementary` of the separation table,
     whose elementary rows are that table, so equal tables mean equal models
-    and no model is built.
+    and no model is built.  Both tables come from `_non_adjacent_rows`; the
+    rows of g1's adjacent pairs are 0.
     """
     if g1.nodes != g2.nodes:
         raise GraphError("graphs have different node sets")
     _require_model_cap(g1, cap)
-    return _table_matches(g2, _separation_table(g1))
+    table = dict.fromkeys(combinations(range(len(g1.nodes)), 2), 0)
+    table.update(((i, j), row) for i, j, row in _non_adjacent_rows(g1))
+    return _table_matches(g2, table)
 
 
 # ----------------------------------------------------------------------

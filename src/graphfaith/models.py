@@ -61,6 +61,20 @@ def _digit_masks(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
     return tuple(digit), no_b
 
 
+@lru_cache(maxsize=4)
+def _sets_holding(n: int) -> tuple[int, ...]:
+    """holding[k]: the conditioning sets that hold node k, as bits of a
+    2^n-bit elementary row (bit C is set when bit k of C is)."""
+    holding = []
+    for k in range(n):
+        mask, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
+        while width < 1 << n:
+            mask |= mask << width
+            width <<= 1
+        holding.append(mask)
+    return tuple(holding)
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
