@@ -13,8 +13,9 @@ change.  The run length S, the end-to-end metrics and their directions come
 from the parent's ``BENCHMARK.json``.  ``BENCH_NAME.json`` is written to the
 current directory with, per run and metric, each side's inclusive-method
 quartiles, the pairs the change won (ties count for neither), the ratio of
-the medians and the parent's interquartile range, and every run's raw
-values.  Each ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side,
+the medians and the parent's interquartile range, the no-regression
+verdict against the metric's bound in ``BENCHMARK.json``, and every run's
+raw values.  Each ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side,
 and the BENCH file keeps its per-layer metrics, per traced op.
 """
 
@@ -72,19 +73,38 @@ def summarize_metric(parent: list[float], change: list[float], better: str) -> d
     }
 
 
-def summarize_runs(runs: dict[str, list[dict]], directions: dict[str, str]) -> dict:
+def no_regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on a metric that may not get worse by more than `bound`.
+
+    `worse` when the change's median is worse than the parent's by more than
+    bound times the parent's median; otherwise `unresolved` when the parent's
+    interquartile range exceeds that margin, unless every change run beats
+    every parent run; otherwise `no_worse`."""
+    p, c = quartiles(parent), statistics.median(change)
+    margin = bound * abs(p[1])
+    behind = p[1] - c if better == "higher" else c - p[1]
+    if behind > margin:
+        return "worse"
+    beats_all = min(change) > max(parent) if better == "higher" else max(change) < min(parent)
+    if p[2] - p[0] > margin and not beats_all:
+        return "unresolved"
+    return "no_worse"
+
+
+def summarize_runs(runs: dict[str, list[dict]], directions: dict[str, str], bounds: dict[str, float]) -> dict:
     """One workload and seed: `runs[side]` holds, pair by pair, each run's
-    last-line result of perfbench/run.py."""
+    last-line result of perfbench/run.py.  Each metric gets its `gain` and,
+    against its bound from BENCHMARK.json, its `no_regression` verdict."""
+    metrics = {}
+    for name, better in directions.items():
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
+        metrics[name] = summarize_metric(parent, change, better)
+        metrics[name]["no_regression"] = no_regression(parent, change, better, bounds[name])
     return {
         "pairs": len(runs["parent"]),
         "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted_ops_per_run": {side: quartiles([r["attempted"] for r in runs[side]]) for side in SIDES},
-        "metrics": {
-            name: summarize_metric(
-                *([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES), better
-            )
-            for name, better in directions.items()
-        },
+        "metrics": metrics,
         "runs": {
             side: [{name: r["metrics"][name]["value"] for name in directions} for r in runs[side]]
             for side in SIDES
@@ -122,6 +142,7 @@ def main() -> int:
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     end_to_end = {}
     for spec in args.run:
@@ -133,7 +154,7 @@ def main() -> int:
                 runs[side].append(result)
                 value = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: ops_per_s {value:.3f}", flush=True)
-        end_to_end[run_key(workload, seed)] = summarize_runs(runs, directions)
+        end_to_end[run_key(workload, seed)] = summarize_runs(runs, directions, bounds)
     per_layer = {}
     for spec in args.traced:
         workload, seed = parse_spec(spec)
@@ -152,7 +173,10 @@ def main() -> int:
             "parent and change each run from their own tree, one run at a time; pairs alternate which side "
             "runs first; quartiles are inclusive-method quartiles over the pairs; change_wins counts pairs "
             "where the change is better; gain: at least 9/10 wins and medians apart by more than the "
-            f"parent's interquartile range; seed {HELD_OUT_SEED} is the held-out seed"
+            "parent's interquartile range; no_regression: worse when the change's median is behind the "
+            "parent's by more than the metric's bound times the parent's median, else unresolved when the "
+            "parent's interquartile range exceeds that margin and not every change run beats every parent "
+            f"run, else no_worse; seed {HELD_OUT_SEED} is the held-out seed"
         ),
         "end_to_end": end_to_end,
     }

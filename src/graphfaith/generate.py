@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
-from .graphs import ARC, MixedGraph, _add_anterior_step, arc, arrow, line
+from .graphs import ARC, MixedGraph, _add_anterior_step, _identity_rows, _unpack_rows, arc, arrow, line
 from .models import IndependenceModel, _iter_subsets
 from .preorders import _EDGE, _EDGE_OPTIONS, Preorder, _iter_anterial_directings, direct_skeleton
 
@@ -44,19 +44,20 @@ def random_preorder(rng: random.Random, labels: Sequence[str], order_prob: float
             classes.append([lab])
     ground = tuple(sorted(set(labels)))
     at = {lab: i for i, lab in enumerate(ground)}
-    # rows[i] holds the j with i <= j; a step a -> b puts b below a.
-    rows = [1 << i for i in range(len(ground))]
+    n = len(ground)
+    # packed rows, row i holding the j with i <= j; a step a -> b puts b below a.
+    rows = _identity_rows(n)
     for cls_ in classes:
         for lab in cls_[1:]:
-            _add_anterior_step(rows, at[cls_[0]], at[lab])
-            _add_anterior_step(rows, at[lab], at[cls_[0]])
+            rows = _add_anterior_step(rows, n, at[cls_[0]], at[lab])
+            rows = _add_anterior_step(rows, n, at[lab], at[cls_[0]])
     # class x below class y, for a random set of x < y; the steps keep the rows closed
     k = len(classes)
     for x in range(k):
         for y in range(x + 1, k):
             if rng.random() < order_prob:
-                _add_anterior_step(rows, at[classes[y][0]], at[classes[x][0]])
-    return Preorder(ground, tuple(rows))
+                rows = _add_anterior_step(rows, n, at[classes[y][0]], at[classes[x][0]])
+    return Preorder(ground, _unpack_rows(rows, n))
 
 
 def random_anterial_graph(

@@ -179,14 +179,15 @@ class MixedGraph:
         """Over the sorted nodes, bit i of row j is set when i reaches j by
         arrows (and lines, when `with_lines`), or i == j."""
         at = {lab: i for i, lab in enumerate(self._ground)}
-        rows = [1 << i for i in range(len(at))]
+        n = len(at)
+        rows = _identity_rows(n)
         for e in self.edges:
             if e.kind == ARROW:
-                _add_anterior_step(rows, at[e.u], at[e.v])
+                rows = _add_anterior_step(rows, n, at[e.u], at[e.v])
             elif e.kind == LINE and with_lines:
-                _add_anterior_step(rows, at[e.u], at[e.v])
-                _add_anterior_step(rows, at[e.v], at[e.u])
-        return tuple(rows)
+                rows = _add_anterior_step(rows, n, at[e.u], at[e.v])
+                rows = _add_anterior_step(rows, n, at[e.v], at[e.u])
+        return _unpack_rows(rows, n)
 
     @cached_property
     def _anterior_rows(self) -> tuple[int, ...]:
@@ -244,16 +245,34 @@ class MixedGraph:
         return None
 
 
-def _add_anterior_step(ant: list[int], a: int, b: int) -> None:
-    """Add the step a -> b to transitively closed reflexive rows, in place.
+# Packed rows: the n rows of a relation on n nodes in one integer, row y at
+# bits n*y ... n*y+n-1.  The directing search holds its prefix state this
+# way, and graphs and random preorders grow their anterior rows this way.
 
-    ant[y] is the mask of the nodes that reach y.  Everything that reaches a
-    now reaches whatever b reaches, and the rows stay closed.
+
+def _identity_rows(n: int) -> int:
+    """The packed reflexive rows of n nodes that reach only themselves."""
+    return sum(1 << (n + 1) * y for y in range(n))
+
+
+def _unpack_rows(rows: int, n: int) -> tuple[int, ...]:
+    """The n packed rows as a tuple of masks, row 0 first."""
+    full = (1 << n) - 1
+    return tuple([(rows >> n * y) & full for y in range(n)])
+
+
+def _add_anterior_step(rows: int, n: int, a: int, b: int) -> int:
+    """Packed transitively closed reflexive rows with the step a -> b added.
+
+    Bit i of row y is set when i reaches y.  Everything that reaches a now
+    reaches whatever b reaches: row a is ORed into every row that holds b,
+    and the rows stay closed.  `(rows >> b) & low` keeps bit b of each row
+    at that row's bit 0; row a is below 2^n, so the product places one copy
+    of it in each such row, with no carries.
     """
-    bit, grown = 1 << b, ant[a]
-    for y, row in enumerate(ant):
-        if row & bit:
-            ant[y] = row | grown
+    full = (1 << n) - 1
+    low = ((1 << n * n) - 1) // full
+    return rows | ((rows >> b) & low) * ((rows >> n * a) & full)
 
 
 def _require_known(g: MixedGraph, labels: Iterable[str]) -> None:

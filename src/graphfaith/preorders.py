@@ -6,12 +6,14 @@ graphs the minimal preorder makes two nodes comparable exactly when one is
 an anterior of the other (its rows are the graph's anterior masks), and
 directing a skeleton by a preorder inverts that construction, which is
 what lets a model's skeleton be searched for compatible preorders by
-enumerating edge directings.  The search grows the anterior masks edge by
-edge with `_add_anterior_step`, the step graphs build theirs with, and
-prunes a prefix as soon as it closes a semi-directed cycle or puts an arc
-between anterior-related nodes.  Both failures are monotone: adding edges
-only grows anterior sets, so a pruned prefix has no anterial completion
-and nothing is lost.
+enumerating edge directings.  A prefix of the search is two integers, each
+packing n rows: the anterior masks, grown edge by edge with
+`_add_anterior_step`, the step graphs build theirs with, and the nodes each
+row may never take in (arrow heads and arc ends).  The search prunes a
+prefix as soon as the two share a bit, that is when it closes a
+semi-directed cycle or puts an arc between anterior-related nodes.  Both
+failures are monotone: adding edges only grows anterior sets, so a pruned
+prefix has no anterial completion and nothing is lost.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphError, ParseError, PreorderError
-from .graphs import ARC, ARROW, LINE, MixedGraph, _add_anterior_step, arc, arrow, line, model_skeleton
+from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line, model_skeleton
+from .graphs import _add_anterior_step, _identity_rows, _unpack_rows
 from .limits import DEFAULT_CAPS
 from .models import IndependenceModel, _columns, _iter_bits, _require_label, skeleton_pairs
 
@@ -36,6 +39,9 @@ class Preorder:
     def __post_init__(self) -> None:
         if len(self.leq_rows) != len(self.ground):
             raise PreorderError("relation size does not match ground size")
+        for label, row in zip(self.ground, self.leq_rows):
+            if row < 0 or row >> len(self.ground):
+                raise PreorderError(f"row of {label!r} relates it to a node outside the ground")
 
     # -- construction ----------------------------------------------------
 
@@ -272,38 +278,30 @@ class Directing(NamedTuple):
         return MixedGraph(frozenset(self.ground), edges)
 
 
-def _direct_edge(
-    ant: list[int], forbid: list[int], u: int, v: int, choice: str | None
-) -> tuple[list[int], list[int]] | None:
+def _direct_edge(ant: int, forbid: int, n: int, u: int, v: int, choice: str | None) -> tuple[int, int] | None:
     """Add one directed skeleton edge to a prefix state, or None if it fails.
 
-    ant[y] is the reflexive anterior mask of y (the row of the minimal
-    preorder); forbid[y] holds the nodes that must never become anteriors of
-    y: the head of every arrow out of y and the far end of every arc at y.
-    A None choice leaves the pair unjoined and the state as it is.
+    Both ints pack n rows (row y at bits n*y ... n*y+n-1): row y of `ant` is
+    the reflexive anterior mask of y (the row of the minimal preorder), and
+    row y of `forbid` holds the nodes that must never become anteriors of y:
+    the head of every arrow out of y and the far end of every arc at y.  An
+    end without a head steps its anteriors on to the other end, a head
+    forbids itself in the other end's row, and the placement fails exactly
+    when some anterior is forbidden.  A None choice leaves the pair unjoined
+    and the state as it is.
     """
     if choice is None:
         return ant, forbid
-    if choice == ARC:
-        if (ant[v] >> u) & 1 or (ant[u] >> v) & 1:
-            return None
-        forbid = forbid.copy()
-        forbid[u] |= 1 << v
-        forbid[v] |= 1 << u
-        return ant, forbid
-    ant = ant.copy()
-    if choice == LINE:
-        _add_anterior_step(ant, u, v)
-        _add_anterior_step(ant, v, u)
+    head_u, head_v = _HEADS[choice]
+    if head_u:
+        forbid |= 1 << n * v + u
     else:
-        tail, head = (u, v) if choice == ARROW else (v, u)
-        forbid = forbid.copy()
-        forbid[tail] |= 1 << head
-        _add_anterior_step(ant, tail, head)
-    for row, banned in zip(ant, forbid):
-        if row & banned:
-            return None
-    return ant, forbid
+        ant = _add_anterior_step(ant, n, u, v)
+    if head_v:
+        forbid |= 1 << n * u + v
+    else:
+        ant = _add_anterior_step(ant, n, v, u)
+    return None if ant & forbid else (ant, forbid)
 
 
 def _iter_anterial_directings(
@@ -340,10 +338,10 @@ def _iter_anterial_directings(
         raise CapExceededError(f"skeleton has {k} edges, above the directing cap {edge_cap}")
     index = model._index
     ends = [(index[u], index[v]) for u, v in pairs]
-    ground = model.ground
-    states = [([1 << i for i in range(model.n)], [0] * model.n)] + [None] * k
+    ground, n = model.ground, model.n
+    states = [(_identity_rows(n), 0)] + [None] * k
     if k == 0:
-        yield Directing(ground, pairs, (), tuple(states[0][0]))
+        yield Directing(ground, pairs, (), _unpack_rows(states[0][0], n))
         return
     heads = [_HEADS[option] for option in options] if colliders is not None else None
     picks = [-1] * k
@@ -354,9 +352,7 @@ def _iter_anterial_directings(
             picks[depth] = -1
             depth -= 1
             continue
-        ant, forbid = states[depth]
-        u, v = ends[depth]
-        state = _direct_edge(ant, forbid, u, v, options[picks[depth]])
+        state = _direct_edge(*states[depth], n, *ends[depth], options[picks[depth]])
         if state is None:
             continue
         if heads is not None:
@@ -367,8 +363,8 @@ def _iter_anterial_directings(
             depth += 1
             states[depth] = state
         else:
-            choices = tuple(options[p] for p in picks)
-            yield Directing(ground, pairs, choices, tuple(state[0]))
+            choices = tuple([options[p] for p in picks])
+            yield Directing(ground, pairs, choices, _unpack_rows(state[0], n))
 
 
 def enumerate_compatible_preorders(

@@ -14,6 +14,9 @@ from graphfaith.graphs import (
     ARC,
     MixedGraph,
     Walk,
+    _add_anterior_step,
+    _identity_rows,
+    _unpack_rows,
     ancestors,
     anteriors,
     arc,
@@ -39,6 +42,7 @@ from conftest import (
     mixed_graphs,
     own_walk_connects,
     reference_class_flags,
+    reference_closure,
     reference_minimal_preorder_rows,
     reference_semi_directed_cycle,
     reference_sets,
@@ -144,6 +148,31 @@ def test_anterior_rows_match_label_closure_on_anterial_graphs():
             count += 1
             _assert_matches_label_closure(graph)
     assert count > 1000
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_step_matches_reference_closure(n):
+    # Rows pass 64 bits from n = 9.  Random steps, then a cycle through every
+    # node so that every row holds every node, then more steps into the full
+    # rows, where a carry between rows would show.
+    for seed in range(3):
+        rng = random.Random(100 * n + seed)
+        steps = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+        steps += [(a, (a + 1) % n) for a in range(n)]
+        steps += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        rows, step = _identity_rows(n), {v: set() for v in range(n)}
+        for a, b in steps:
+            rows = _add_anterior_step(rows, n, a, b)
+            step[a].add(b)
+            reach = {v: reference_closure(v, step) | {v} for v in range(n)}
+            expected = tuple(sum(1 << i for i in range(n) if j in reach[i]) for j in range(n))
+            assert _unpack_rows(rows, n) == expected
+            assert rows >> n * n == 0
+        assert expected == ((1 << n) - 1,) * n
+
+
+def test_packed_rows_of_no_nodes():
+    assert _identity_rows(0) == 0 and _unpack_rows(0, 0) == ()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
