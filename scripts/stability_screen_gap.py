@@ -3,12 +3,17 @@
 
 For every model induced by an anterial graph on n labeled nodes, count the
 skeleton directings that pass the compatible-preorder stability screen and
-how many of those survive direct faithfulness verification.  The gap is the
-family of anterial-but-not-ancestral directings whose connecting walks must
-revisit nodes; the smallest examples live on the 4-cycle.  It also counts
-the screen passes that break the unshielded-collider rule, which the
-graphicality search prunes by (see `faithfulness._collider_checks`), and the
-models with a row that rules out every directing.
+how many of those survive direct faithfulness verification.  Every false
+positive found so far is a non-maximal graph (`classify(h).is_maximal`),
+ancestral or not: on 4 nodes, 12 of the 78 are ancestral, among them
+`a <-> d, b <-> c, c -> a, c <-> d, d -> b` for the model whose only
+statement is <a,b|c d>, where a <-> d <-> c <-> b is an inducing path.  So
+it counts the ancestral and the maximal false positives and the maximal
+faithful passes, and exits 1 when some screen pass is faithful but not
+maximal or maximal but not faithful.  It also counts the screen passes that
+break the unshielded-collider rule, which the graphicality search prunes by
+(see `faithfulness._collider_checks`), and the models with a row that rules
+out every directing.
 
 Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 """
@@ -18,7 +23,7 @@ import time
 
 from graphfaith.faithfulness import _collider_checks, is_faithful
 from graphfaith.generate import all_anterial_graphs
-from graphfaith.graphs import graph_to_text, induced_model
+from graphfaith.graphs import classify, graph_to_text, induced_model
 from graphfaith.models import _stabilities_hold
 from graphfaith.preorders import _iter_anterial_directings
 
@@ -31,7 +36,8 @@ def main():
         sys.exit("n must be between 2 and 4")
     t0 = time.time()
     seen = set()
-    screened_total = faithful_total = 0
+    screened_total = faithful_total = faithful_maximal = 0
+    false_ancestral = false_maximal = 0
     breaking = breaking_false = ruled_out = 0
     gap_examples = []
     for g in all_anterial_graphs(LABELS[:n]):
@@ -50,9 +56,13 @@ def main():
             broken = directing.choices not in kept
             breaking += broken
             h = directing.graph()
+            classes = classify(h)
             if is_faithful(model, h):
                 faithful_total += 1
+                faithful_maximal += bool(classes.is_maximal)
                 continue
+            false_ancestral += classes.is_ag
+            false_maximal += bool(classes.is_maximal)
             breaking_false += broken
             if len(gap_examples) < 3:
                 gap_examples.append((model, h))
@@ -67,8 +77,13 @@ def main():
     for model, h in gap_examples:
         print("\nexample false positive (passes screen, not faithful):")
         print(graph_to_text(h).rstrip())
+    print(f"\nfalse positives that are ancestral: {false_ancestral}, maximal: {false_maximal}")
+    print(f"faithful screen passes that are maximal: {faithful_maximal} of {faithful_total}")
+    agree = faithful_maximal == faithful_total and false_maximal == 0
+    print("every screen pass is faithful exactly when it is maximal" if agree else "faithfulness and maximality differ")
     print(f"\nelapsed: {time.time() - t0:.1f}s")
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

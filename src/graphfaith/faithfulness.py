@@ -9,9 +9,9 @@ edges never removes either failure, so no anterial directing is lost.  Each
 candidate is screened by the compatible-preorder stability conditions
 (necessary, and cheap) and then confirmed by `is_faithful`, which compares
 the model's elementary rows with the graph's separation rows and builds no
-model (the confirmation is load-bearing: the screen alone over-accepts on
-some anterial-but-not-ancestral directings; see _search).  The
-confirmed witnesses are exactly the minimally-Markov members of the model's
+model (the confirmation is load-bearing: the screen alone over-accepts,
+and every false positive found so far is a non-maximal graph; see
+_search).  The confirmed witnesses are exactly the minimally-Markov members of the model's
 Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
 run the same search with fewer options per skeleton pair.
 
@@ -259,14 +259,18 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     Each candidate is screened by both ordered stabilities of its minimal
     preorder and, when it passes, verified row by row (`is_faithful`).  The
     screen is necessary (a faithful graph always satisfies both ordered
-    stabilities w.r.t. its minimal preorder) but not sufficient: on
-    anterial graphs that are not ancestral, a connecting walk may have to
-    revisit a node, and such a directing can pass the screen without being
-    faithful.  The smallest case found: for the model of the undirected
-    4-cycle a-c-b-d, the directing {a--c, a<->d, b<->c, b--d} passes the
-    screen, but the walk c <-> b <-> c -- a <-> d connects c and d given
-    {a,b}, so its induced model is strictly smaller.  Verification therefore
-    filters rather than asserts.  Only screen passes are built as graphs.
+    stabilities w.r.t. its minimal preorder) but not sufficient.  Every
+    false positive found so far is non-maximal: some non-adjacent pair of
+    the directing has no separating set, although the model separates it.
+    The smallest case found: for the model of the undirected 4-cycle
+    a-c-b-d, the directing {a--c, a<->d, b<->c, b--d} passes the screen,
+    but the walk c <-> b <-> c -- a <-> d connects c and d given {a,b}.
+    Being ancestral does not rule this out.  For the model of a -- c,
+    a -- d, b -- c, b -- d, c -- d, whose only statement is <a,b|c d>, the
+    ancestral directing {a <-> d, b <-> c, c -> a, c <-> d, d -> b} passes
+    the screen, but a <-> d <-> c <-> b is an inducing path (each inner
+    node a collider and an ancestor of an end), so no set separates a and
+    b.  Verification therefore filters rather than asserts.  Only screen passes are built as graphs.
     The UG and BG gates hold the closed-form conditions (an upward-stable
     singleton-transitive graphoid is faithful to its skeleton in lines, and
     dually in arcs), so their one candidate must be a witness.

@@ -603,8 +603,9 @@ def _separation_row(g: MixedGraph, i: int, j: int) -> int:
 
 
 def _separation_table(g: MixedGraph) -> dict[tuple[int, int], int]:
-    """The `elementary_table` of g over its sorted nodes: bit C of row (i, j)
-    is set when C separates i and j."""
+    """The elementary table of g over its sorted nodes, in the layout of
+    `IndependenceModel._elementary`: bit C of row (i, j) is set when C
+    separates i and j."""
     n = len(g._ground)
     return {(i, j): _separation_row(g, i, j) for i in range(n) for j in range(i + 1, n)}
 
@@ -623,10 +624,10 @@ def _non_adjacent_rows(g: MixedGraph) -> Iterator[tuple[int, int, int]]:
 
 
 def _table_matches(g: MixedGraph, table: dict[tuple[int, int], int]) -> bool:
-    """Whether `table`, in the layout of `elementary_table` over g's sorted
-    nodes, is g's separation table.  Adjacent nodes are never separated, so
-    their rows must be 0; the other rows come from `_non_adjacent_rows`, and
-    the first mismatch decides."""
+    """Whether `table`, in the layout of `IndependenceModel._elementary`
+    over g's sorted nodes, is g's separation table.  Adjacent nodes are
+    never separated, so their rows must be 0; the other rows come from
+    `_non_adjacent_rows`, and the first mismatch decides."""
     at = {label: i for i, label in enumerate(g._ground)}
     if any(table[at[u], at[v]] for u, v in g.adjacent_pairs):
         return False

@@ -75,6 +75,15 @@ def _sets_holding(n: int) -> tuple[int, ...]:
     return tuple(holding)
 
 
+def _breaks_by_set(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """From (k, row) pairs: (C, the mask of the k whose row holds bit C)
+    for each C in some row, C increasing."""
+    union = 0
+    for _, row in rows:
+        union |= row
+    return tuple((cm, sum(1 << k for k, row in rows if (row >> cm) & 1)) for cm in _iter_bits(union))
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -99,6 +108,8 @@ def _iter_subsets(mask: int) -> Iterator[int]:
     yield from _iter_submasks(mask)
 
 
+# The runs of non-zero bytes in a member byte view.
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
 # _BYTE_BITS[b]: the set bit positions of byte b, increasing.
 _BYTE_BITS = tuple(tuple(k for k in range(8) if (b >> k) & 1) for b in range(256))
 
@@ -222,12 +233,49 @@ class IndependenceModel:
                 for b in bits[byte]:
                     yield base | b
 
+    def _triples(self) -> Iterator[tuple[int, int, int]]:
+        """The (A, B, C) masks of the members in increasing code order.
+
+        Only the runs of non-zero bytes are read.  Bits 0-7 of a code, its
+        four low digits, are its byte's place in a block of 32 bytes and the
+        bit, decoded by one `_BYTE_DIGITS` lookup; its higher digits are
+        those of the block, decoded once per block."""
+        bits, digits = _BYTE_BITS, _BYTE_DIGITS
+        block = -1
+        for run in _NONZERO_RUN.finditer(self._bytes):
+            k = run.start()
+            for byte in run.group():
+                if k >> 5 != block:
+                    block = k >> 5
+                    ha, hb, hc = _decode_masks(block << 8)
+                low = (k & 31) << 3
+                for b in bits[byte]:
+                    a, bm, c = digits[low | b]
+                    yield ha | a, hb | bm, hc | c
+                k += 1
+
     @cached_property
     def _elementary(self) -> dict[tuple[int, int], int]:
         """The elementary statements, one row per pair i < j: bit C of the
-        row is set when <i,j|C> is a member.  The mapping that
-        `model_from_elementary` takes."""
-        return elementary_table(self.n, lambda i, j, cm: self._has(1 << i, 1 << j, cm))
+        row is set when <i,j|C> is a member, read from the byte view at code
+        4^j + 2 * 4^i + 3 * w[C].  The mapping that `model_from_elementary`
+        takes."""
+        n, w, data = self.n, self._weights, self._bytes
+        limit = len(data) << 3
+        full = (1 << n) - 1
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                base = 4**j + 2 * 4**i
+                row = 0
+                for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
+                    code = base + 3 * w[cm]
+                    if code >= limit:  # codes rise with C
+                        break
+                    if (data[code >> 3] >> (code & 7)) & 1:
+                        row |= 1 << cm
+                table[(i, j)] = row
+        return table
 
     @cached_property
     def _stability_table(self) -> tuple[tuple[int, int, int, int, tuple, tuple], ...]:
@@ -239,28 +287,25 @@ class IndependenceModel:
         `downs` holds (C, down) with down the k in C whose removal does;
         empty masks are left out.  up_any and down_any are their unions.
         """
-        full = (1 << self.n) - 1
+        holding = _sets_holding(self.n)
         table = []
         for (i, j), row in self._elementary.items():
-            rest = full ^ (1 << i) ^ (1 << j)
-            ups, downs = [], []
-            up_any = down_any = 0
-            for cm in _iter_bits(row):
-                up = down = 0
-                for k in _iter_bits(rest ^ cm):
-                    if not (row >> (cm | (1 << k))) & 1:
-                        up |= 1 << k
-                for k in _iter_bits(cm):
-                    if not (row >> (cm ^ (1 << k))) & 1:
-                        down |= 1 << k
-                if up:
-                    ups.append((cm, up))
-                    up_any |= up
-                if down:
-                    downs.append((cm, down))
-                    down_any |= down
-            if up_any or down_any:
-                table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
+            if not row:
+                continue
+            # U_k: the C in the row without k whose C u {k} is not; D_k: the
+            # C in the row with k whose C minus k is not.
+            up_rows, down_rows = [], []
+            for k, h in enumerate(holding):
+                if k != i and k != j:
+                    if u := row & ~h & ~(row >> (1 << k)):
+                        up_rows.append((k, u))
+                    if d := row & h & ~(row << (1 << k)):
+                        down_rows.append((k, d))
+            if up_rows or down_rows:
+                ups, downs = _breaks_by_set(up_rows), _breaks_by_set(down_rows)
+                up_any = sum(1 << k for k, _ in up_rows)
+                down_any = sum(1 << k for k, _ in down_rows)
+                table.append((i, j, up_any, down_any, ups, downs))
         return tuple(table)
 
     @cached_property
@@ -337,11 +382,12 @@ class IndependenceModel:
         model = cls(tuple(sorted(set(ground))), mask)
         if mask < 0 or mask >> (4 ** len(model.ground)):
             raise ModelError("member mask has bits outside the triple code range")
-        for code in model._codes():
-            am, bm, cm = _decode_masks(code)
-            if not am or not bm or (am & bm) or (am & cm) or (bm & cm):
+        w = model._weights
+        for am, bm, cm in model._triples():
+            code = w[am] + 2 * w[bm] + 3 * w[cm]
+            if not am or not bm:
                 raise ModelError(f"mask bit {code} is not a valid disjoint triple code")
-            if model._code(am, bm, cm) != code:
+            if w[am] < w[bm]:
                 raise ModelError(f"mask bit {code} is not in canonical side order")
         return model
 
@@ -366,8 +412,7 @@ class IndependenceModel:
     def statements(self) -> Iterator[Triple]:
         """All stored (non-trivial) statements in increasing code order."""
         labels = self._labels_of
-        for code in self._codes():
-            am, bm, cm = _decode_masks(code)
+        for am, bm, cm in self._triples():
             yield labels(am), labels(bm), labels(cm)
 
     def elementary_statements(self) -> Iterator[tuple[str, str, NodeSet]]:
@@ -421,21 +466,6 @@ def _model_where(ground: tuple[str, ...], holds: Callable[[int, int, int], bool]
     return IndependenceModel(ground, _members_of(buf))
 
 
-def elementary_table(n: int, holds: Callable[[int, int, int], bool]) -> dict[tuple[int, int], int]:
-    """{(i, j): the bitmask over conditioning masks C with holds(i, j, C)},
-    for every pair i < j of n nodes and every C avoiding both."""
-    full = (1 << n) - 1
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = 0
-            for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
-                if holds(i, j, cm):
-                    row |= 1 << cm
-            table[(i, j)] = row
-    return table
-
-
 def model_from_elementary(
     ground: Sequence[str],
     separated: Mapping[tuple[int, int], int],
@@ -448,30 +478,44 @@ def model_from_elementary(
     closed under composition and decomposition (graph-induced and regular
     Gaussian models both are).
 
-    Only members are visited.  For each C, sep[i] holds the j outside C with
-    <i,j|C>; the non-empty A within V minus C are walked in increasing
-    submask order, keeping near[A] = near[A minus its lowest node] & sep[that
-    node], the nodes separated from all of A.  The members with this A and C
-    are then exactly the non-empty B within near[A] in canonical orientation
-    (below the highest node of A), and each sets its bit in one bytearray.
-    This is the same rule applied to the same triples as testing every
-    disjoint triple against every pair; only the order of work differs, so
-    the result is identical, also for input that is not compositional.
+    Only members are visited.  Each row is read only at the conditioning
+    sets that avoid its pair, and its set bits are grouped by C: sep[C][i]
+    holds the j with <i,j|C>, and the support of C the nodes with some such
+    j.  For each C with a support, the non-empty A within it are walked in
+    increasing submask order, keeping near[A] = near[A minus its lowest
+    node] & sep[C][that node], the nodes separated from all of A; an A
+    outside the support has a node with no partner, so its near is empty
+    and it has no member.  The members with this A and C are then exactly
+    the non-empty B within near[A] in canonical orientation (below the
+    highest node of A), and each sets its bit in one bytearray.  This is the
+    same rule applied to the same triples as testing every disjoint triple
+    against every pair; only the order of work differs, so the result is
+    identical, also for input that is not compositional.
     """
     gtuple = tuple(sorted(set(ground)))
     n = len(gtuple)
     w = _base4_weights(n)
-    full = (1 << n) - 1
+    holding = _sets_holding(n)
+    every = (1 << (1 << n)) - 1
+    sep = [[0] * n for _ in range(1 << n)]
+    support = [0] * (1 << n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = separated[(i, j)] & (every ^ (holding[i] | holding[j]))
+            bi, bj = 1 << i, 1 << j
+            while row:
+                low = row & -row
+                cm = low.bit_length() - 1
+                sep[cm][i] |= bj
+                sep[cm][j] |= bi
+                support[cm] |= bi | bj
+                row ^= low
     buf = _member_buffer(n)
     near = [0] * (1 << n)
-    for cm in range(1 << n):
-        rest = full ^ cm
-        sep = [0] * n
-        for i in _iter_bits(rest):
-            for j in _iter_bits(rest >> (i + 1) << (i + 1)):
-                if (separated[(i, j)] >> cm) & 1:
-                    sep[i] |= 1 << j
-                    sep[j] |= 1 << i
+    for cm, rest in enumerate(support):
+        if not rest:
+            continue
+        seps = sep[cm]
         near[0] = rest
         c3 = 3 * w[cm]
         am = 0
@@ -480,7 +524,7 @@ def model_from_elementary(
             if not am:
                 break
             low = am & -am
-            common = near[am ^ low] & sep[low.bit_length() - 1]
+            common = near[am ^ low] & seps[low.bit_length() - 1]
             near[am] = common
             common &= (1 << (am.bit_length() - 1)) - 1
             if common:
@@ -637,8 +681,7 @@ def _joins_hold(model: IndependenceModel, given: int, spread: int) -> bool:
 def _iter_semi_graphoid_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     # Symmetry cannot fail: storage is canonicalized over the side order.
     has = model._has
-    for code in model._codes():
-        xm, ym, cm = _decode_masks(code)
+    for xm, ym, cm in model._triples():
         for am, em in ((xm, ym), (ym, xm)):
             for bm in _iter_submasks(em):
                 dm = em ^ bm
@@ -669,8 +712,7 @@ def check_semi_graphoid(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set
 
 def _iter_intersection_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     has = model._has
-    for code in model._codes():
-        xm, ym, cm = _decode_masks(code)
+    for xm, ym, cm in model._triples():
         for am, bm in ((xm, ym), (ym, xm)):
             for dm in _iter_submasks(cm):
                 c0 = cm ^ dm
@@ -695,8 +737,7 @@ def check_intersection(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_
 def _iter_composition_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
     has = model._has
     full = (1 << model.n) - 1
-    for code in model._codes():
-        xm, ym, cm = _decode_masks(code)
+    for xm, ym, cm in model._triples():
         free = full ^ xm ^ ym ^ cm
         for am, bm in ((xm, ym), (ym, xm)):
             for dm in _iter_submasks(free):
@@ -718,27 +759,25 @@ def check_composition(model: IndependenceModel, *, cap: int = DEFAULT_CAPS.set_a
 
 
 def _iter_singleton_transitivity_violations(model: IndependenceModel) -> Iterator[tuple[str, Witness]]:
-    full = (1 << model.n) - 1
+    """The violations by row shifts, pairs i < j in order, then C, then k
+    increasing: for each k apart from i and j, bit C of row & (row >> 2^k)
+    outside the sets holding k is a C with <i,j|C> and <i,j|C u {k}>, and
+    it is a violation unless row (i, k) or row (j, k) holds it."""
     table = model._elementary
+    holding = _sets_holding(model.n)
     g = model.ground
-
-    def holds(a: int, b: int, cm: int) -> int:
-        return (table[(a, b) if a < b else (b, a)] >> cm) & 1
-
     for (i, j), row in table.items():
-        rest = full ^ (1 << i) ^ (1 << j)
-        for cm in _iter_bits(row):
-            for k in _iter_bits(rest ^ cm):
-                if (row >> (cm | (1 << k))) & 1 and not (holds(i, k, cm) or holds(j, k, cm)):
-                    yield (
-                        "singleton-transitivity",
-                        {
-                            "i": g[i],
-                            "j": g[j],
-                            "k": g[k],
-                            "C": list(_sorted_labels(model, cm)),
-                        },
-                    )
+        if not row:
+            continue
+        broken = []
+        for k, h in enumerate(holding):
+            if k != i and k != j:
+                either = table[(i, k) if i < k else (k, i)] | table[(j, k) if j < k else (k, j)]
+                if v := row & (row >> (1 << k)) & ~h & ~either:
+                    broken.append((k, v))
+        for cm, ks in _breaks_by_set(broken):
+            for k in _iter_bits(ks):
+                yield "singleton-transitivity", {"i": g[i], "j": g[j], "k": g[k], "C": list(_sorted_labels(model, cm))}
 
 
 def check_singleton_transitivity(
@@ -971,19 +1010,19 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
     statements are the trivial ones.
     """
     # Pass 1 reads syntax and labels, and keeps three part ids per statement.
-    # Pass 2 runs once the ground is known: each id becomes a mask once, and
-    # overlaps are found there, so every syntax error is reported first.
+    # Pass 2 runs once the ground is known: each id becomes a weight once,
+    # and overlaps are found there, so every syntax error is reported first.
     declared: set[str] = set()
     sides, givens = {}, {}  # side texts and given texts, each to its id
     parts: list[tuple[str, ...]] = [()]  # the labels of each id
-    statements: list[int] = []  # A, B and C ids of each statement, flat
+    statements: list[tuple[int, int, int]] = []  # the A, B and C ids of each statement
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body or _node_declaration(body, declared, path, lineno) is not None:
+        body = (line.split("#", 1)[0] if "#" in line else line).strip()
+        if not body or body.startswith("node") and _node_declaration(body, declared, path, lineno) is not None:
             continue
-        if SEPARATOR not in body:
+        left, separator, right = body.partition(SEPARATOR)
+        if not separator:
             raise ParseError(f"expected a statement containing {SEPARATOR!r}", path=path, line=lineno)
-        left, right = body.split(SEPARATOR, 1)
         b_part, _, c_part = right.partition("|")
         a, b, c = sides.get(left), sides.get(b_part), givens.get(c_part)
         if a is None or b is None or c is None:
@@ -992,24 +1031,30 @@ def parse_model_text(text: str, *, path: str | None = None) -> IndependenceModel
             c = _part_id(givens, parts, c_part, True, path, lineno)
         if not a or not b:
             raise ParseError("both sides of a statement must be non-empty", path=path, line=lineno)
-        statements += (a, b, c)
+        statements.append((a, b, c))
     ground = tuple(sorted(declared.union(*parts)))
     require_within("model text ground", len(ground), HARD_MAX_ELEMENTARY_NODES)  # members take 4^n bits
     index = {lab: i for i, lab in enumerate(ground)}
-    masks = [sum({1 << index[lab] for lab in labels}) for labels in parts]
-    model = IndependenceModel(ground, 0)
-    code = model._code
-    buf = bytearray()
-    for s in range(0, len(statements), 3):
-        am, bm, cm = masks[statements[s]], masks[statements[s + 1]], masks[statements[s + 2]]
-        if (am & bm) | (am & cm) | (bm & cm):
-            # statement s // 3 is on the (s // 3)-th line that holds a separator
+    # the base-4 weight of each id: digit 1 at each of its nodes, so two
+    # weights share a bit exactly when their sets share a node
+    weights = [sum({4 ** index[lab] for lab in labels}) for labels in parts]
+    codes = []
+    for s, (a, b, c) in enumerate(statements):
+        wa, wb, wc = weights[a], weights[b], weights[c]
+        if (wa & wb) | (wa & wc) | (wb & wc):
+            # statement s is on the s-th line that holds a separator
             lines = [n for n, line in enumerate(text.splitlines(), start=1) if SEPARATOR in line.split("#", 1)[0]]
+            model = IndependenceModel(ground, 0)
             try:
-                _require_disjoint_masks(model, am, bm, cm)
+                _require_disjoint_masks(model, *(model._mask_of(parts[p]) for p in (a, b, c)))
             except ModelError as exc:
-                raise ParseError(str(exc), path=path, line=lines[s // 3]) from None
-        _set_code(buf, code(am, bm, cm))
+                raise ParseError(str(exc), path=path, line=lines[s]) from None
+        codes.append(wa + 2 * wb + 3 * wc if wa > wb else wb + 2 * wa + 3 * wc)
+    buf = bytearray()
+    if codes:
+        _set_code(buf, max(codes))  # the buffer grows to the highest code only
+    for code in codes:
+        buf[code >> 3] |= 1 << (code & 7)
     return IndependenceModel(ground, _members_of(buf))
 
 
@@ -1019,25 +1064,25 @@ def model_to_text(model: IndependenceModel) -> str:
     ground = model.ground
     for label in ground:
         _require_label(label, f"label {label!r}", None, None)
-    names: dict[int, tuple[str, ...]] = {}  # mask -> its labels, sorted as the ground is
+    sides: dict[int, tuple[tuple[str, ...], str]] = {}  # mask -> its labels, sorted as the ground is, and their text
+    givens = {0: ""}  # mask -> its `| ...` text
 
-    def labels(mask: int) -> tuple[str, ...]:
-        out = names.get(mask)
-        if out is None:
-            out = names[mask] = tuple(ground[i] for i in _iter_bits(mask))
+    def side(mask: int) -> tuple[tuple[str, ...], str]:
+        labels = tuple(ground[i] for i in _iter_bits(mask))
+        out = sides[mask] = (labels, ",".join(labels))
         return out
 
     lines = []
+    for am, bm, cm in model._triples():
+        a, b = sides.get(am) or side(am), sides.get(bm) or side(bm)
+        if b[0] < a[0]:
+            a, b = b, a
+        given = givens.get(cm)
+        if given is None:
+            given = givens[cm] = " | " + " ".join(ground[i] for i in _iter_bits(cm))
+        lines.append(f"{a[1]} {SEPARATOR} {b[1]}{given}")
     used = 0
-    for code in model._codes():
-        am, bm, cm = _decode_masks(code)
-        a_s, b_s = labels(am), labels(bm)
-        if b_s < a_s:
-            a_s, b_s = b_s, a_s
-        stmt = f"{','.join(a_s)} {SEPARATOR} {','.join(b_s)}"
-        if cm:
-            stmt += f" | {' '.join(labels(cm))}"
-        lines.append(stmt)
-        used |= am | bm | cm
+    for mask in (*sides, *givens):
+        used |= mask
     node_lines = [f"node {lab}" for i, lab in enumerate(ground) if not (used >> i) & 1]
     return "\n".join(node_lines + sorted(lines)) + ("\n" if node_lines or lines else "")

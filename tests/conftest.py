@@ -18,14 +18,23 @@ from hypothesis import strategies as st
 
 from graphfaith.generate import all_anterial_graphs
 from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, induced_model, line, separates
+from graphfaith.errors import ModelError, ParseError
+from graphfaith.limits import HARD_MAX_ELEMENTARY_NODES, require_within
 from graphfaith.models import (
+    SEPARATOR,
     IndependenceModel,
     _base4_weights,
+    _decode_masks,
     _iter_bits,
     _iter_subsets,
+    _members_of,
     _model_where,
+    _node_declaration,
+    _part_id,
+    _require_disjoint_masks,
+    _require_label,
+    _set_code,
     _sorted_labels,
-    elementary_table,
     model_from_elementary,
     skeleton_pairs,
 )
@@ -526,6 +535,126 @@ def reference_marginalize_and_condition(model: IndependenceModel, margin, condit
     return _model_where(
         tuple(model.ground[i] for i in keep), lambda am, bm, cm: has(lift[am], lift[bm], lift[cm] | cm0)
     )
+
+
+def elementary_table(n, holds):
+    """{(i, j): the bitmask over conditioning masks C with holds(i, j, C)},
+    for every pair i < j of n nodes and every C avoiding both."""
+    full = (1 << n) - 1
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = 0
+            for cm in _iter_subsets(full ^ (1 << i) ^ (1 << j)):
+                if holds(i, j, cm):
+                    row |= 1 << cm
+            table[(i, j)] = row
+    return table
+
+
+def reference_elementary(model: IndependenceModel):
+    """The elementary rows by one `_has` lookup per pair and conditioning set."""
+    return elementary_table(model.n, lambda i, j, cm: model._has(1 << i, 1 << j, cm))
+
+
+def reference_stability_table(model: IndependenceModel):
+    """`IndependenceModel._stability_table` by one row test per member
+    <i,j|C> and node k: up holds the k outside C and the pair whose C u {k}
+    leaves the row, down the k in C whose C minus k does."""
+    full = (1 << model.n) - 1
+    table = []
+    for (i, j), row in reference_elementary(model).items():
+        rest = full ^ (1 << i) ^ (1 << j)
+        ups, downs = [], []
+        up_any = down_any = 0
+        for cm in _iter_bits(row):
+            up = down = 0
+            for k in _iter_bits(rest ^ cm):
+                if not (row >> (cm | (1 << k))) & 1:
+                    up |= 1 << k
+            for k in _iter_bits(cm):
+                if not (row >> (cm ^ (1 << k))) & 1:
+                    down |= 1 << k
+            if up:
+                ups.append((cm, up))
+                up_any |= up
+            if down:
+                downs.append((cm, down))
+                down_any |= down
+        if up_any or down_any:
+            table.append((i, j, up_any, down_any, tuple(ups), tuple(downs)))
+    return tuple(table)
+
+
+def reference_parse_model_text(text, *, path=None):
+    """parse_model_text line by line as the library read it before its
+    codec was trimmed: comments split off every line, every body asked
+    whether it declares a node, one mask per part id, and one code and one
+    `_set_code` per statement."""
+    declared = set()
+    sides, givens = {}, {}
+    parts = [()]
+    statements = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body or _node_declaration(body, declared, path, lineno) is not None:
+            continue
+        if SEPARATOR not in body:
+            raise ParseError(f"expected a statement containing {SEPARATOR!r}", path=path, line=lineno)
+        left, right = body.split(SEPARATOR, 1)
+        b_part, _, c_part = right.partition("|")
+        a = _part_id(sides, parts, left, False, path, lineno)
+        b = _part_id(sides, parts, b_part, False, path, lineno)
+        c = _part_id(givens, parts, c_part, True, path, lineno)
+        if not a or not b:
+            raise ParseError("both sides of a statement must be non-empty", path=path, line=lineno)
+        statements += (a, b, c)
+    ground = tuple(sorted(declared.union(*parts)))
+    require_within("model text ground", len(ground), HARD_MAX_ELEMENTARY_NODES)
+    index = {lab: i for i, lab in enumerate(ground)}
+    masks = [sum({1 << index[lab] for lab in labels}) for labels in parts]
+    model = IndependenceModel(ground, 0)
+    buf = bytearray()
+    for s in range(0, len(statements), 3):
+        am, bm, cm = masks[statements[s]], masks[statements[s + 1]], masks[statements[s + 2]]
+        if (am & bm) | (am & cm) | (bm & cm):
+            lines = [n for n, line in enumerate(text.splitlines(), start=1) if SEPARATOR in line.split("#", 1)[0]]
+            try:
+                _require_disjoint_masks(model, am, bm, cm)
+            except ModelError as exc:
+                raise ParseError(str(exc), path=path, line=lines[s // 3]) from None
+        _set_code(buf, model._code(am, bm, cm))
+    return IndependenceModel(ground, _members_of(buf))
+
+
+def reference_model_to_text(model: IndependenceModel):
+    """model_to_text member by member over `_codes` and `_decode_masks`,
+    the labels of each mask cached, each statement joined afresh."""
+    ground = model.ground
+    for label in ground:
+        _require_label(label, f"label {label!r}", None, None)
+    names = {}
+
+    def labels(mask):
+        out = names.get(mask)
+        if out is None:
+            out = names[mask] = tuple(ground[i] for i in _iter_bits(mask))
+        return out
+
+    lines = []
+    used = 0
+    for code in model._codes():
+        am, bm, cm = _decode_masks(code)
+        a_s, b_s = labels(am), labels(bm)
+        if b_s < a_s:
+            a_s, b_s = b_s, a_s
+        stmt = f"{','.join(a_s)} {SEPARATOR} {','.join(b_s)}"
+        if cm:
+            stmt += f" | {' '.join(labels(cm))}"
+        lines.append(stmt)
+        used |= am | bm | cm
+    node_lines = [f"node {lab}" for i, lab in enumerate(ground) if not (used >> i) & 1]
+    return "\n".join(node_lines + sorted(lines)) + ("\n" if node_lines or lines else "")
 
 
 def reference_model_from_elementary(ground, separated):

@@ -37,6 +37,7 @@ from graphfaith.models import (
     _stabilities_hold,
     check_semi_graphoid,
     check_singleton_transitivity,
+    model_to_text,
     parse_model_text,
     skeleton_pairs,
 )
@@ -47,6 +48,7 @@ from conftest import (
     LABELS,
     anterial_graphs,
     build_graph,
+    census_models,
     reference_ordered_down_violations,
     reference_ordered_up_violations,
 )
@@ -292,6 +294,30 @@ def test_stability_screen_requires_verification():
     assert verdict.graphical
     assert rogue not in verdict.witnesses
     assert four_cycle in verdict.witnesses
+
+
+def test_screen_passes_are_faithful_exactly_when_maximal_on_four_nodes():
+    # Evidence, not a rule the code may use: over every screen pass of every
+    # graph-induced 4-node model, faithfulness and maximality agree.  The
+    # false positives are all non-maximal, and 12 of the 78 are ancestral.
+    passes, false_positives = 0, []
+    for model in census_models():
+        for directing in _iter_anterial_directings(model):
+            if _stabilities_hold(model, directing.rows):
+                passes += 1
+                h = directing.graph()
+                faithful, classes = is_faithful(model, h), classify(h)
+                assert faithful == classes.is_maximal
+                if not faithful:
+                    false_positives.append(classes)
+    assert passes == 5000 and len(false_positives) == 78
+    assert sum(classes.is_ag for classes in false_positives) == 12
+    ancestral = parse_graph_text("a <-> d\nb <-> c\nc -> a\nc <-> d\nd -> b\n")
+    model = induced_model(parse_graph_text("a -- c\na -- d\nb -- c\nb -- d\nc -- d\n"))
+    assert model_to_text(model) == "a _||_ b | c d\n"
+    assert _stabilities_hold(model, minimal_preorder(ancestral).leq_rows)
+    assert classify(ancestral).is_ag and not classify(ancestral).is_maximal
+    assert not is_faithful(model, ancestral)
 
 
 def test_search_builds_no_preorder(monkeypatch):

@@ -34,12 +34,12 @@ from graphfaith.models import (
     check_semi_graphoid,
     check_singleton_transitivity,
     check_upward_stability,
-    elementary_table,
     skeleton_pairs,
 )
 
 from conftest import (
     LABELS,
+    elementary_table,
     reference_covariance_model,
     reference_det,
     reference_inverse_rows,

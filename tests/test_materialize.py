@@ -19,7 +19,6 @@ from graphfaith.models import (
     IndependenceModel,
     _iter_bits,
     _iter_triple_masks,
-    elementary_table,
     marginalize_and_condition,
     model_from_elementary,
     model_to_text,
@@ -28,6 +27,7 @@ from graphfaith.models import (
 
 from conftest import (
     LABELS,
+    elementary_table,
     reference_model_from_elementary,
     reference_triple_masks,
     small_models,

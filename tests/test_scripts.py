@@ -43,6 +43,13 @@ def test_stability_screen_gap_counts_on_four_nodes():
         "b <-> c",
         "b -- d",
     ]
+    # Every false positive is non-maximal, 12 of them ancestral, and every
+    # faithful pass is maximal; run_script's exit check holds the script to it.
+    assert lines[-5:-2] == [
+        "false positives that are ancestral: 12, maximal: 0",
+        "faithful screen passes that are maximal: 4922 of 4922",
+        "every screen pass is faithful exactly when it is maximal",
+    ]
 
 
 def test_census_exits_1_when_a_class_is_not_reconstructed(monkeypatch, capsys):
