@@ -10,7 +10,11 @@ ancestral or not: on 4 nodes, 12 of the 78 are ancestral, among them
 statement is <a,b|c d>, where a <-> d <-> c <-> b is an inducing path.  So
 it counts the ancestral and the maximal false positives and the maximal
 faithful passes, and exits 1 when some screen pass is faithful but not
-maximal or maximal but not faithful.  It also counts the screen passes that
+maximal or maximal but not faithful.  It also counts the passes that are
+separated pairwise: every non-adjacent pair i, j is separated given
+C(i,j) = ant(i) u ant(j) minus i and j (`pairwise_conditioning_set`), a
+test that has been seen to agree with maximality on every anterial graph
+tried; it exits 1 when the two differ on some pass.  It also counts the screen passes that
 break the unshielded-collider rule, which the graphicality search prunes by
 (see `faithfulness._collider_checks`), and the models with a row that rules
 out every directing.
@@ -21,13 +25,24 @@ Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 import sys
 import time
 
-from graphfaith.faithfulness import _collider_checks, is_faithful
+from graphfaith.faithfulness import _collider_checks, is_faithful, pairwise_conditioning_set
 from graphfaith.generate import all_anterial_graphs
-from graphfaith.graphs import classify, graph_to_text, induced_model
+from graphfaith.graphs import classify, graph_to_text, induced_model, separates
 from graphfaith.models import _stabilities_hold
 from graphfaith.preorders import _iter_anterial_directings
 
 LABELS = tuple("abcd")
+
+
+def separated_pairwise(h):
+    """Every non-adjacent pair i, j of h is separated given C(i,j)."""
+    nodes = sorted(h.nodes)
+    return all(
+        separates(h, {i}, {j}, pairwise_conditioning_set(h, i, j))
+        for x, i in enumerate(nodes)
+        for j in nodes[x + 1 :]
+        if not h.is_adjacent(i, j)
+    )
 
 
 def main():
@@ -39,6 +54,7 @@ def main():
     screened_total = faithful_total = faithful_maximal = 0
     false_ancestral = false_maximal = 0
     breaking = breaking_false = ruled_out = 0
+    pairwise_total = pairwise_differ = 0
     gap_examples = []
     for g in all_anterial_graphs(LABELS[:n]):
         model = induced_model(g)
@@ -57,6 +73,9 @@ def main():
             breaking += broken
             h = directing.graph()
             classes = classify(h)
+            pairwise = separated_pairwise(h)
+            pairwise_total += pairwise
+            pairwise_differ += pairwise != bool(classes.is_maximal)
             if is_faithful(model, h):
                 faithful_total += 1
                 faithful_maximal += bool(classes.is_maximal)
@@ -77,12 +96,16 @@ def main():
     for model, h in gap_examples:
         print("\nexample false positive (passes screen, not faithful):")
         print(graph_to_text(h).rstrip())
-    print(f"\nfalse positives that are ancestral: {false_ancestral}, maximal: {false_maximal}")
+    print(
+        f"\nscreen passes separated pairwise given C(i,j): {pairwise_total} of {screened_total}, "
+        f"differing from maximality on {pairwise_differ}"
+    )
+    print(f"false positives that are ancestral: {false_ancestral}, maximal: {false_maximal}")
     print(f"faithful screen passes that are maximal: {faithful_maximal} of {faithful_total}")
     agree = faithful_maximal == faithful_total and false_maximal == 0
     print("every screen pass is faithful exactly when it is maximal" if agree else "faithfulness and maximality differ")
     print(f"\nelapsed: {time.time() - t0:.1f}s")
-    return 0 if agree else 1
+    return 0 if agree and not pairwise_differ else 1
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ _search).  The confirmed witnesses are exactly the minimally-Markov members of t
 Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
 run the same search with fewer options per skeleton pair.
 
-Where a pair has a choice of options (AnG and DAG), the search first runs
-pruned by the model's unshielded colliders (see _collider_checks): each
-triple i - k - j of the skeleton with i, j non-adjacent must be a collider
-at k exactly when the model's row for i, j keeps k out of every separating
-set.  The prune drops only directings that cannot be faithful, so a pruned
-pass finds the same witnesses in the same order.  When it finds none, the
-unpruned search runs once more, since the failure reports how many
-directings it tried and how many passed the screen.
+Where a pair has a choice of options (AnG and DAG), the search is pruned by
+the model's unshielded colliders (see _collider_checks): each triple
+i - k - j of the skeleton with i, j non-adjacent must be a collider at k
+exactly when the model's row for i, j keeps k out of every separating set.
+It is also pruned by the screen's first test, which no prefix can pass
+again once it fails.  Both prunes drop only directings that cannot be
+faithful, so the pruned search finds the same witnesses in the same order.
+A failure reports how many directings the unpruned search would try,
+counted by a memo (`preorders._count_anterial_directings`), and how many
+would pass the screen, all of which the upward prune keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .models import (
     _iter_bits,
     _sets_holding,
     _stabilities_hold,
+    _upward_rows_mask,
     check_composition,
     check_downward_stability,
     check_intersection,
@@ -46,8 +49,9 @@ from .models import (
     check_upward_stability,
     skeleton_pairs,
 )
+from .preorders import _EDGE_OPTIONS, _count_anterial_directings, _iter_anterial_directings
 # minimal_preorder stays bound here: perfbench's tracer wraps faithfulness.minimal_preorder.
-from .preorders import _EDGE_OPTIONS, _iter_anterial_directings, minimal_preorder  # noqa: F401
+from .preorders import minimal_preorder  # noqa: F401
 
 
 def pairwise_conditioning_set(g: MixedGraph, i: str, j: str) -> frozenset[str]:
@@ -233,13 +237,13 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, in
 
 
 def _sweep(
-    model: IndependenceModel, options, edge_cap: int, model_cap: int, colliders=None
+    model: IndependenceModel, options, edge_cap: int, model_cap: int, colliders, up: int
 ) -> tuple[list[MixedGraph], int, int]:
     """The witnesses among the directings that the enumerator yields, with
     the number of directings tried and of screen passes."""
     witnesses: list[MixedGraph] = []
     tried = screened = 0
-    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=colliders):
+    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=colliders, up=up):
         tried += 1
         if not _stabilities_hold(model, directing.rows):
             continue
@@ -275,32 +279,41 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     singleton-transitive graphoid is faithful to its skeleton in lines, and
     dually in arcs), so their one candidate must be a witness.
 
-    With more than one option (AnG, DAG), a first pass skips every directing
-    that breaks an unshielded-collider check (see _collider_checks).  No
-    faithful directing breaks one, and the skipped ones leave the order of
-    the rest as it is, so that pass confirms the same witnesses in the same
-    order.  If it confirms none, or a row rules out every directing, the
-    unpruned pass runs: it alone counts the directings tried and the screen
-    passes for the failure.  A skeleton with no unshielded triple has no
-    check, and runs the unpruned pass only.
+    With more than one option (AnG, DAG), the pass skips every directing
+    that breaks an unshielded-collider check (see _collider_checks), and
+    every prefix whose anterior rows trip the screen's first test
+    (`models._upward_rows_mask`), which no leaf below it can pass.  No
+    faithful directing breaks a check or trips the test, and the skipped ones
+    leave the order of the rest as it is, so the pass confirms the witnesses
+    of the unpruned search in the same order.  A search without a witness
+    reports two counts of the unpruned search: the directings tried, from
+    the memo of `preorders._count_anterial_directings`, and the screen
+    passes, which lie among the directings that the upward prune keeps.  So
+    these are screened again without the collider checks when the pass had
+    any.  Where the pass pruned nothing, it was the unpruned search, and its
+    own counts are reported.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
     model_cap = max(caps.model_nodes, model.n)
     options = _CLASS_OPTIONS[kind]
-    # one option draws one graph, so only a choice between options is capped
-    edge_cap = caps.skeleton_edges if len(options) > 1 else len(skeleton_pairs(model))
-    colliders = _collider_checks(model) if len(options) > 1 else None
-    witnesses: list[MixedGraph] = []
-    if colliders and any(colliders):
-        witnesses = _sweep(model, options, edge_cap, model_cap, colliders)[0]
-    if not witnesses:
-        witnesses, tried, screened = _sweep(model, options, edge_cap, model_cap)
+    # one option draws one graph, so only a choice between options is capped and pruned
+    choice = len(options) > 1
+    edge_cap = caps.skeleton_edges if choice else len(skeleton_pairs(model))
+    colliders = _collider_checks(model) if choice else None
+    checks = colliders if colliders and any(colliders) else None
+    up = _upward_rows_mask(model) if choice else 0
+    witnesses, tried, screened = _sweep(model, options, edge_cap, model_cap, checks, up)
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
-    if len(options) == 1:
+    if not choice:
         raise InternalCheckError(f"the {kind} gate passed, but the skeleton drawn in {options[0]} is not faithful")
+    if checks is not None:
+        directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, up=up)
+        screened = sum(_stabilities_hold(model, directing.rows) for directing in directings)
+    if checks is not None or up:
+        tried = _count_anterial_directings(model, options)
     arrows_only = kind == "DAG"
     property_name = "compatible-order-search" if arrows_only else "compatible-preorder-search"
     counts = {"dags_tried" if arrows_only else "directings_tried": tried, "stability_passing": screened}
@@ -325,10 +338,12 @@ def decide_graphical(
     be anterial (pruning drops only prefixes whose every completion is not)
     and must pass the stability screen, so the sweep sees every possible
     witness.  Candidates are streamed, never held in a list.  The sweep
-    first skips the directings that break the model's unshielded colliders,
-    which no faithful graph does, and reruns unpruned only to count a
-    failure (see _search), so the witnesses, their order and the failure
-    counts are those of the unpruned sweep.
+    skips the directings that break the model's unshielded colliders, which
+    no faithful graph does, and every prefix that fails the screen's upward
+    test, which no leaf below it passes.  A failure's count of directings
+    tried comes from a memo over the skeleton pairs, and its screen passes
+    from the upward-pruned directings (see _search), so the witnesses, their
+    order and the failure counts are those of the unpruned sweep.
     """
     return _search(model, "ANG", caps)
 

@@ -936,6 +936,17 @@ def check_dag_ordered_stabilities(
     return up, down
 
 
+def _upward_rows_mask(model: IndependenceModel) -> int:
+    """The first test of `_stabilities_hold` on n packed rows (row y at bits
+    n*y ... n*y+n-1, as the directing search packs them): the rows meet this
+    mask exactly when some table pair i, j has a node of up_any in row i or
+    row j, and the screen then fails."""
+    n, mask = model.n, 0
+    for i, j, up_any, _, _, _ in model._stability_table:
+        mask |= up_any << n * i | up_any << n * j
+    return mask
+
+
 def _stabilities_hold(model: IndependenceModel, leq: Sequence[int]) -> bool:
     """Both ordered stabilities hold under the preorder with these leq rows;
     the screen of the directing search."""

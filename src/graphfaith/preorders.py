@@ -13,7 +13,11 @@ row may never take in (arrow heads and arc ends).  The search prunes a
 prefix as soon as the two share a bit, that is when it closes a
 semi-directed cycle or puts an arc between anterior-related nodes.  Both
 failures are monotone: adding edges only grows anterior sets, so a pruned
-prefix has no anterial completion and nothing is lost.
+prefix has no anterial completion and nothing is lost.  The graphicality
+search also drops a prefix whose anterior rows fail the stability screen's
+first test, which is monotone too, and counts the directings of a failed
+search by a memo over the prefixes' frontier (`_count_anterial_directings`)
+instead of walking them.
 """
 
 from __future__ import annotations
@@ -310,6 +314,7 @@ def _iter_anterial_directings(
     edge_cap: int = DEFAULT_CAPS.skeleton_edges,
     options=_EDGE_OPTIONS,
     colliders=None,
+    up: int = 0,
 ) -> Iterator[Directing]:
     """All anterial directings of the model's skeleton whose every pair takes
     one of `options`, in lexicographic order of the per-pair choice vector.
@@ -331,6 +336,13 @@ def _iter_anterial_directings(
     if `collider` says so.  A placement kept by the anterial pruning is also
     dropped, with its subtree, when a check fails; the directings that are
     left keep their order.  The options must then all be joins.
+
+    `up`, a mask in the packed layout of `_direct_edge`'s rows
+    (`models._upward_rows_mask`), drops a placement, with its subtree, once
+    the anterior rows meet it: one AND per placement.  That is the first
+    test of the stability screen, and rows only gain bits down the tree, so
+    every leaf below fails the screen too, and the directings that are left
+    are exactly those whose own rows pass that test, in the same order.
     """
     pairs = tuple(sorted(skeleton_pairs(model)))
     k = len(pairs)
@@ -353,7 +365,7 @@ def _iter_anterial_directings(
             depth -= 1
             continue
         state = _direct_edge(*states[depth], n, *ends[depth], options[picks[depth]])
-        if state is None:
+        if state is None or state[0] & up:
             continue
         if heads is not None:
             here = heads[picks[depth]]
@@ -365,6 +377,65 @@ def _iter_anterial_directings(
         else:
             choices = tuple([options[p] for p in picks])
             yield Directing(ground, pairs, choices, _unpack_rows(state[0], n))
+
+
+def _count_anterial_directings(model: IndependenceModel, options=_EDGE_OPTIONS) -> int:
+    """How many directings `_iter_anterial_directings` yields with these
+    options and no collider checks or upward mask, counted by a memo over
+    the sorted skeleton pairs instead of a walk to every leaf.
+
+    At depth d the live nodes are the ends of the pairs not yet placed;
+    every later placement steps and forbids between live nodes only.  A new
+    anterior x of y then runs from x through an old path to a live node p,
+    on among live nodes to a live node b, and through an old path from b to
+    y.  So the subtree of a prefix is decided by, for each live b: its live
+    anteriors, `ant[b] & live`, which carry every old path between live
+    nodes; and the live x that must never come to reach b, those whose row
+    of `ant` meets `forbid[z]` for some row z that b already reaches, retired
+    or live (z = b included).  A later forbid bit joins two live nodes, and
+    the first part decides it.  Prefixes that agree on depth and on both
+    parts have the same number of anterial completions, which the memo
+    shares.
+    """
+    ends = [(model._index[u], model._index[v]) for u, v in sorted(skeleton_pairs(model))]
+    n, k = model.n, len(ends)
+    live = [0] * (k + 1)  # live[d]: the nodes with a pair at depth d or later
+    for d in range(k - 1, -1, -1):
+        live[d] = live[d + 1] | 1 << ends[d][0] | 1 << ends[d][1]
+    # the live rows, each masked to the live columns
+    masks = [sum(nodes << n * b for b in _iter_bits(nodes)) for nodes in live]
+    members = [tuple(_iter_bits(nodes)) for nodes in live]
+    memo: dict[tuple, int] = {}
+
+    def count(depth: int, ant: int, forbid: int) -> int:
+        if depth == k:
+            return 1
+        nodes, here = live[depth], members[depth]
+        rows = _unpack_rows(ant, n)
+        closed = [0] * n  # closed[b]: the live x that must never come to reach b
+        for z, banned in enumerate(_unpack_rows(forbid, n)):
+            if banned:
+                xs = 0
+                for x in here:
+                    if rows[x] & banned:
+                        xs |= 1 << x
+                if xs:
+                    reach = rows[z] & nodes
+                    for b in here:
+                        if reach >> b & 1:
+                            closed[b] |= xs
+        key = (depth, ant & masks[depth], tuple(closed))
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            for option in options:
+                state = _direct_edge(ant, forbid, n, *ends[depth], option)
+                if state is not None:
+                    total += count(depth + 1, *state)
+            memo[key] = total
+        return total
+
+    return count(0, _identity_rows(n), 0)
 
 
 def enumerate_compatible_preorders(

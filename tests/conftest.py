@@ -17,9 +17,10 @@ import hypothesis
 from hypothesis import strategies as st
 
 from graphfaith.generate import all_anterial_graphs
-from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, induced_model, line, separates
+from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, graph_to_text, induced_model, line, separates
 from graphfaith.errors import ModelError, ParseError
-from graphfaith.limits import HARD_MAX_ELEMENTARY_NODES, require_within
+from graphfaith.faithfulness import _CLASS_OPTIONS, is_faithful
+from graphfaith.limits import DEFAULT_CAPS, HARD_MAX_ELEMENTARY_NODES, HARD_MAX_SKELETON_EDGES, require_within
 from graphfaith.models import (
     SEPARATOR,
     IndependenceModel,
@@ -35,9 +36,11 @@ from graphfaith.models import (
     _require_label,
     _set_code,
     _sorted_labels,
+    _stabilities_hold,
     model_from_elementary,
     skeleton_pairs,
 )
+from graphfaith.preorders import _iter_anterial_directings
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, derandomize=True, deadline=None
@@ -444,6 +447,36 @@ def product_filter_directings(model: IndependenceModel) -> list[MixedGraph]:
         if g.semi_directed_cycle() is None and g.violating_arc() is None:
             kept.append(g)
     return kept
+
+
+def reference_sweep(model: IndependenceModel, options):
+    """The directing search without any prune beyond the anterial one: every
+    anterial directing whose pairs take `options`, screened by both ordered
+    stabilities and, when it passes, verified by `is_faithful`.  Returns the
+    witnesses in enumeration order, the directings tried and the screen
+    passes."""
+    witnesses, tried, screened = [], 0, 0
+    for directing in _iter_anterial_directings(model, edge_cap=HARD_MAX_SKELETON_EDGES, options=options):
+        tried += 1
+        if _stabilities_hold(model, directing.rows):
+            screened += 1
+            g = directing.graph()
+            if is_faithful(model, g, cap=max(model.n, DEFAULT_CAPS.model_nodes)):
+                witnesses.append(g)
+    return witnesses, tried, screened
+
+
+def reference_search_json(model: IndependenceModel, kind: str) -> dict:
+    """The verdict JSON of a gate-passing AnG or DAG search, as
+    `reference_sweep` finds it: the witnesses, or the failure payload with
+    its two counts."""
+    dag = kind.upper() == "DAG"
+    witnesses, tried, screened = reference_sweep(model, _CLASS_OPTIONS[kind.upper()])
+    if witnesses:
+        return {"graphical": True, "witnesses": [graph_to_text(w) for w in witnesses], "failure": None}
+    counts = {"dags_tried" if dag else "directings_tried": tried, "stability_passing": screened}
+    name = "compatible-order-search" if dag else "compatible-preorder-search"
+    return {"graphical": False, "witnesses": [], "failure": {"property": name, "witness": counts}}
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,8 @@
 
 The pruned pass must confirm the same witnesses in the same order, and a
 search without a witness must report the unpruned counts, byte for byte.
-The unpruned route is `_search` with `_collider_checks` answering None, the
-answer for a row that rules out every directing, which runs only the
-unpruned pass.
+The unpruned route is `reference_sweep` (tests/conftest.py), the search with
+no prune beyond the anterial one.
 """
 
 import hashlib
@@ -22,7 +21,7 @@ from graphfaith.limits import DEFAULT_CAPS
 from graphfaith.models import skeleton_pairs
 from graphfaith.preorders import _iter_anterial_directings, enumerate_compatible_preorders
 
-from conftest import census_models, keeps_collider_demands, reference_collider_demands
+from conftest import census_models, keeps_collider_demands, reference_collider_demands, reference_search_json
 
 
 @lru_cache(maxsize=None)
@@ -71,31 +70,17 @@ def passes(monkeypatch):
     return calls
 
 
-def unpruned_json(monkeypatch, model, kind):
-    with monkeypatch.context() as patch:
-        patch.setattr(faithfulness, "_collider_checks", lambda model: None)
-        return json.dumps(restricted_graphical(model, kind).to_json_dict())
-
-
-def assert_same_verdict(monkeypatch, passes, model, kind):
-    """The verdict JSON equals the unpruned one.  A pruned pass runs exactly
-    when the model has a check; a witness ends the search after it, and a
-    failure reruns unpruned, whose count the payload reports."""
+def assert_same_verdict(passes, model, kind):
+    """The verdict JSON equals the unpruned one.  The witness pass takes the
+    collider checks exactly when the model has one; a failure after such a
+    pass screens again without them, for the payload's screen count."""
     verdict = restricted_graphical(model, kind)
-    made = [tuple(call) for call in passes]
-    passes.clear()
-    assert json.dumps(verdict.to_json_dict()) == unpruned_json(monkeypatch, model, kind)
-    (unpruned,) = passes
-    passes.clear()
+    assert json.dumps(verdict.to_json_dict()) == json.dumps(reference_search_json(model, kind))
     checks = _collider_checks(model)
-    if checks is None or not any(checks):
-        assert made == [tuple(unpruned)]
-    elif verdict.graphical:
-        assert made == [(True, made[0][1])]
-    else:
-        assert made == [(True, made[0][1]), tuple(unpruned)]
-        counts = verdict.failure.witness
-        assert counts["directings_tried" if kind == "AnG" else "dags_tried"] == unpruned[1]
+    pruned = bool(checks) and any(checks)
+    made = [with_checks for with_checks, _ in passes]
+    passes.clear()
+    assert made == [pruned] + ([False] if pruned and not verdict.graphical else [])
     return verdict
 
 
@@ -115,14 +100,14 @@ def assert_prune_is_the_collider_rule(model, kind):
 
 
 @pytest.mark.parametrize("kind", ["AnG", "DAG"])
-def test_census_verdicts_match_the_unpruned_search(monkeypatch, passes, kind):
+def test_census_verdicts_match_the_unpruned_search(passes, kind):
     models = census_models()
     assert len(models) == 299
     graphical = 0
     for model in models:
-        graphical += assert_same_verdict(monkeypatch, passes, model, kind).graphical
+        graphical += assert_same_verdict(passes, model, kind).graphical
     # every model is graph-induced, so AnG finds a witness for each; a DAG
-    # search fails wherever the class holds no DAG and runs both passes
+    # search fails wherever the class holds no DAG
     assert graphical == 299 if kind == "AnG" else 0 < graphical < 299
 
 
@@ -133,21 +118,21 @@ def test_census_prune_is_the_collider_rule(kind):
 
 
 @pytest.mark.parametrize("kind", ["AnG", "DAG"])
-def test_seeded_five_to_seven_node_verdicts_match(monkeypatch, passes, kind):
+def test_seeded_five_to_seven_node_verdicts_match(passes, kind):
     models = seeded_graph_models()
     assert {model.n for model in models} == {5, 6, 7}
     for model in models:
-        verdict = assert_same_verdict(monkeypatch, passes, model, kind)
+        verdict = assert_same_verdict(passes, model, kind)
         assert verdict.graphical or kind == "DAG"
         assert_prune_is_the_collider_rule(model, kind)
 
 
 @pytest.mark.parametrize("kind", ["AnG", "DAG"])
-def test_failures_without_witness_keep_their_payload(monkeypatch, passes, kind):
+def test_failures_without_witness_keep_their_payload(passes, kind):
     consistent, inconsistent = gate_passing_models_without_witness()
     passes.clear()  # the first call above searched each model
     for model in consistent + inconsistent:
-        verdict = assert_same_verdict(monkeypatch, passes, model, kind)
+        verdict = assert_same_verdict(passes, model, kind)
         assert not verdict.graphical
         assert_prune_is_the_collider_rule(model, kind)
     for model in inconsistent:
@@ -155,10 +140,11 @@ def test_failures_without_witness_keep_their_payload(monkeypatch, passes, kind):
 
 
 def test_seed_one_seven_node_model_pins(passes):
-    # 207,259 anterial directings unpruned; 14 keep every collider check.
+    # 207,259 anterial directings unpruned; 14 keep every collider check,
+    # and 4 of those pass the upward prune.
     model = induced_model(random_anterial_graph(random.Random(1), "abcdefg", 0.5))
     verdict = faithfulness.decide_graphical(model)
-    assert passes == [[True, 14]]
+    assert passes == [[True, 4]]
     assert len(verdict.witnesses) == 2
     # the verdict JSON's SHA-256 as the unpruned search printed it
     digest = hashlib.sha256(json.dumps(verdict.to_json_dict()).encode()).hexdigest()

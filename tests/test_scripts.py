@@ -44,12 +44,35 @@ def test_stability_screen_gap_counts_on_four_nodes():
         "b -- d",
     ]
     # Every false positive is non-maximal, 12 of them ancestral, and every
-    # faithful pass is maximal; run_script's exit check holds the script to it.
+    # faithful pass is maximal; the passes separated pairwise given C(i,j)
+    # are exactly the maximal ones.  run_script's exit check holds the
+    # script to both.
+    assert lines[-6] == "screen passes separated pairwise given C(i,j): 4922 of 5000, differing from maximality on 0"
     assert lines[-5:-2] == [
         "false positives that are ancestral: 12, maximal: 0",
         "faithful screen passes that are maximal: 4922 of 4922",
         "every screen pass is faithful exactly when it is maximal",
     ]
+
+
+def test_search_cases_on_the_four_node_complete_graph():
+    # its empty model is faithful to every anterial directing of K4
+    line, = run_script("search_cases.py", "--repeat", "1", "k4").splitlines()
+    name, rest = line.split(": ", 1)
+    seconds, digest, verdict = rest.split(", ", 2)
+    assert name == "k4" and seconds.endswith(" s") and float(seconds[:-2]) >= 0
+    assert (digest, verdict) == ("sha256 c9e2a9dbe0c8edcd", "graphical, 355 witnesses")
+
+
+def test_mutant_table_matches_the_code():
+    # scripts/mutants.py reports an entry as stale unless its snippet occurs
+    # exactly once; the run itself is a CI step, not a tier-1 test
+    from mutants import MUTANTS
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (ROOT / "src" / "graphfaith" / m.file).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
+        assert m.tests and all((ROOT / "tests" / f).is_file() for f in m.tests), m.name
 
 
 def test_census_exits_1_when_a_class_is_not_reconstructed(monkeypatch, capsys):
