@@ -4,9 +4,9 @@
 `src/` and `tests/` are copied to a temporary directory.  The unmutated
 copy must pass every listed test file first (else the run stops with exit
 2).  Then each mutant is applied on its own: its snippet is replaced in the
-copy, `pytest -x -q --assert=plain` runs on its test files with a timeout,
-and the file is restored.  `--assert=plain` keeps pytest from diffing large
-texts when an assertion fails.  Each mutant is reported as:
+copy, `pytest -x -q --assert=plain` runs on its test files with a timeout
+of TIMEOUT seconds, and the file is restored.  `--assert=plain` keeps
+pytest from diffing large texts when an assertion fails.  Each mutant is reported as:
 
 - killed: the tests failed;
 - survived: the tests passed, so they cannot see the mutant;
@@ -18,11 +18,9 @@ texts when an assertion fails.  Each mutant is reported as:
 
 Exits 1 when any mutant survived, is stale or is broken, else 0.
 
-Usage: python scripts/mutants.py [--timeout S] [--only TEXT]
-(--only runs the mutants whose name contains TEXT)
+Usage: python scripts/mutants.py
 """
 
-import argparse
 import importlib.util
 import os
 import shutil
@@ -33,6 +31,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300.0  # seconds per mutant's test run; the unmutated run gets twice this
 
 
 def load_table():
@@ -58,19 +57,15 @@ def run_tests(work: Path, files, timeout: float) -> str:
     return {0: "passed", 1: "failed"}.get(done.returncode, "broken")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
-    parser.add_argument("--only", default="", help="run the mutants whose name contains this text")
-    args = parser.parse_args(argv)
-    mutants = [m for m in load_table() if args.only in m.name]
+def main() -> int:
+    mutants = load_table()
     with tempfile.TemporaryDirectory(prefix="graphfaith-mutants-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         files = sorted({f for m in mutants for f in m.tests})
-        baseline = run_tests(work, files, args.timeout * 2)
+        baseline = run_tests(work, files, TIMEOUT * 2)
         if baseline != "passed":
             print(f"the unmutated tests {baseline}: {' '.join(files)}")
             return 2
@@ -84,7 +79,7 @@ def main(argv=None) -> int:
             else:
                 path.write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
                 try:
-                    result = run_tests(work, m.tests, args.timeout)
+                    result = run_tests(work, m.tests, TIMEOUT)
                 finally:
                     path.write_text(source, encoding="utf-8")
                 outcome = {"failed": "killed", "passed": "survived"}.get(result, result)

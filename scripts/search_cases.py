@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the graphicality searches that the benchmark pool leaves out.
 
-Each case prints one line: its name, the best of R wall times, the first
+Each case prints one line: its name, the best of 3 wall times, the first
 16 hex digits of the SHA-256 of the verdict's JSON, and what the verdict
 holds (its witness count, or its failure payload).  The cases:
 
@@ -19,8 +19,7 @@ holds (its witness count, or its failure payload).  The cases:
   `search6` pool in `perfbench/pool.json`, timed as one sum; its digest
   covers every verdict in pool order.
 
-Usage: python scripts/search_cases.py [--repeat R] [CASE ...]
-(default: every case but k4, best of 3)
+Usage: python scripts/search_cases.py [CASE ...]   (default: every case)
 """
 
 import argparse
@@ -105,16 +104,15 @@ CASES = {
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="runs per case; the best time is printed")
     parser.add_argument("cases", nargs="*", metavar="CASE", help=", ".join(CASES))
     args = parser.parse_args(argv)
     unknown = sorted(set(args.cases) - set(CASES))
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}; choose from {', '.join(CASES)}")
-    for name in args.cases or [c for c in CASES if c != "k4"]:
+    for name in args.cases or CASES:
         run = CASES[name]()  # inputs are built outside the timed runs
         best = float("inf")
-        for _ in range(max(1, args.repeat)):
+        for _ in range(3):
             start = time.perf_counter()
             result = run()
             best = min(best, time.perf_counter() - start)

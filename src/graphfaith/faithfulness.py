@@ -238,20 +238,19 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, in
 
 def _sweep(
     model: IndependenceModel, options, edge_cap: int, model_cap: int, colliders, up: int
-) -> tuple[list[MixedGraph], int, int]:
+) -> tuple[list[MixedGraph], int]:
     """The witnesses among the directings that the enumerator yields, with
-    the number of directings tried and of screen passes."""
+    the number of screen passes."""
     witnesses: list[MixedGraph] = []
-    tried = screened = 0
+    screened = 0
     for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=colliders, up=up):
-        tried += 1
         if not _stabilities_hold(model, directing.rows):
             continue
         screened += 1
         g = directing.graph()
         if is_faithful(model, g, cap=model_cap):
             witnesses.append(g)
-    return witnesses, tried, screened
+    return witnesses, screened
 
 
 def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
@@ -290,8 +289,7 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     the memo of `preorders._count_anterial_directings`, and the screen
     passes, which lie among the directings that the upward prune keeps.  So
     these are screened again without the collider checks when the pass had
-    any.  Where the pass pruned nothing, it was the unpruned search, and its
-    own counts are reported.
+    any, and otherwise the pass's own screen count is reported.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
@@ -304,7 +302,7 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     colliders = _collider_checks(model) if choice else None
     checks = colliders if colliders and any(colliders) else None
     up = _upward_rows_mask(model) if choice else 0
-    witnesses, tried, screened = _sweep(model, options, edge_cap, model_cap, checks, up)
+    witnesses, screened = _sweep(model, options, edge_cap, model_cap, checks, up)
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
     if not choice:
@@ -312,8 +310,7 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     if checks is not None:
         directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, up=up)
         screened = sum(_stabilities_hold(model, directing.rows) for directing in directings)
-    if checks is not None or up:
-        tried = _count_anterial_directings(model, options)
+    tried = _count_anterial_directings(model, options)
     arrows_only = kind == "DAG"
     property_name = "compatible-order-search" if arrows_only else "compatible-preorder-search"
     counts = {"dags_tried" if arrows_only else "directings_tried": tried, "stability_passing": screened}
