@@ -5,15 +5,16 @@ collider section has a node in C and every non-collider section avoids C.
 Walks may revisit nodes and edges, so the decision procedure runs over the
 finite state space (node, entry mark of the current section, whether the
 section has touched C); `connecting_walk_oracle` independently searches for
-an explicit walk and re-checks it against the raw definition.  `_rows_from`
+an explicit walk and re-checks it against the raw definition.  `separates`
+answers single queries by a level-by-level walk over four frontier node
+masks, one per (entry mark, touched) pair, on per-node edge masks
+(`MixedGraph._masks`), and builds `induced_model`'s table.  `_rows_from`
 runs the same states from one source for every conditioning set at once;
-verification, Markov equivalence and maximality read its rows, and
-`separates` answers single queries and builds `induced_model`'s table.
+verification, Markov equivalence and maximality read its rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -124,13 +125,18 @@ class MixedGraph:
     # -- derived structure (graphs are immutable, so these are safe) -----
 
     @cached_property
-    def _incidence(self) -> dict[str, tuple[tuple[str, str, str, bool], ...]]:
-        """node -> tuple of (other, mark_here, mark_other, is_line)."""
-        inc: dict[str, list[tuple[str, str, str, bool]]] = {v: [] for v in self.nodes}
+    def _masks(self) -> tuple[dict[str, int], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(bit, lines, out, into, arcs) over the sorted nodes: bit[label] is
+        1 << index, and bit w of lines[v], out[v], into[v] or arcs[v] is set
+        when v -- w, v -> w, w -> v or v <-> w."""
+        at = {label: i for i, label in enumerate(self._ground)}
+        lines, out, into, arcs = masks = [[0] * len(at) for _ in range(4)]
         for e in self.edges:
-            inc[e.u].append((e.v, e.mark_at(e.u), e.mark_at(e.v), e.kind == LINE))
-            inc[e.v].append((e.u, e.mark_at(e.v), e.mark_at(e.u), e.kind == LINE))
-        return {v: tuple(sorted(items)) for v, items in inc.items()}
+            u, v = at[e.u], at[e.v]
+            here, there = (out, into) if e.kind == ARROW else (lines, lines) if e.kind == LINE else (arcs, arcs)
+            here[u] |= 1 << v
+            there[v] |= 1 << u
+        return ({label: 1 << i for label, i in at.items()}, *map(tuple, masks))
 
     @cached_property
     def _moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -218,23 +224,24 @@ class MixedGraph:
         return None
 
     def _anterior_path(self, start: str, goal: str) -> tuple[str, ...]:
-        # BFS over lines/forward arrows; caller guarantees reachability.
-        prev: dict[str, str] = {}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            if v == goal:
+        # BFS over lines and arrows out, in ascending node order; the caller
+        # guarantees reachability.
+        bit, lines, out, _, _ = self._masks
+        s, t = bit[start].bit_length() - 1, bit[goal].bit_length() - 1
+        prev: dict[int, int] = {}
+        seen, queue = 1 << s, [s]
+        for v in queue:
+            if v == t:
                 break
-            for w, mark_v, _mw, is_line in self._incidence[v]:
-                if not is_line and mark_v == HEAD:
-                    continue  # only lines and arrows leaving v
-                if w not in prev and w != start:
-                    prev[w] = v
-                    queue.append(w)
-        path = [goal]
-        while path[-1] != start:
+            new = (lines[v] | out[v]) & ~seen
+            seen |= new
+            for w in _iter_bits(new):
+                prev[w] = v
+                queue.append(w)
+        path = [t]
+        while path[-1] != s:
             path.append(prev[path[-1]])
-        return tuple(reversed(path))
+        return tuple(self._ground[v] for v in reversed(path))
 
     def violating_arc(self) -> Edge | None:
         """An arc whose endpoint is an anterior of the other, or None."""
@@ -310,36 +317,73 @@ def _check_query_sets(g: MixedGraph, a: frozenset, b: frozenset, c: frozenset) -
 def separates(g: MixedGraph, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> bool:
     """True when no walk connects A to B given C.
 
-    Reachability over states (node, entry mark of current section, section
-    touched C).  A line stays inside the section; any other edge closes it,
-    and the closed section must contain a C node exactly when both flanking
-    marks are heads (the collider patterns).
+    Reachability over states (node, entry mark of the current section,
+    section touched C), level by level over four frontier node masks: t0
+    and h0 hold the untouched states entered with a tail or a head, t1 and
+    h1 the touched ones.  A line stays inside the section; any other edge
+    closes it, and the closed section must contain a C node exactly when
+    both flanking marks are heads (the collider patterns).  So t0 follows
+    every edge, h0 lines and arrows out, h1 lines, arrows in and arcs, and
+    t1 lines only; each level splits its targets by C, and the walk stops
+    at the first untouched state on a B node.
     """
     a_set, b_set, c_set = frozenset(a), frozenset(b), frozenset(c)
-    _check_query_sets(g, a_set, b_set, c_set)
-    inc = g._incidence
-    seen: set[tuple[str, str, bool]] = set()
-    queue: deque[tuple[str, str, bool]] = deque()
-    for start in a_set:
-        state = (start, TAIL, False)
-        seen.add(state)
-        queue.append(state)
-    while queue:
-        v, mark, touched = queue.popleft()
-        for w, mark_v, mark_w, is_line in inc[v]:
-            if is_line:
-                state = (w, mark, touched or (w in c_set))
-            else:
-                collider = mark == HEAD and mark_v == HEAD
-                if collider != touched:
-                    continue  # closed section fails its collider/non-collider test
-                state = (w, mark_w, w in c_set)
-            if state in seen:
-                continue
-            seen.add(state)
-            if state[0] in b_set and not state[2]:
-                return False
-            queue.append(state)
+    bit, lines, out, into, arcs = g._masks
+    am = bm = cm = 0
+    try:
+        for x in a_set:
+            am |= bit[x]
+        for x in b_set:
+            bm |= bit[x]
+        for x in c_set:
+            cm |= bit[x]
+    except KeyError:
+        am = 0  # an unknown label, which the check names
+    if not am or not bm or am & bm or am & cm or bm & cm:
+        _check_query_sets(g, a_set, b_set, c_set)
+    free = ~cm
+    t0 = seen_t0 = am
+    h0 = h1 = t1 = seen_h0 = seen_h1 = seen_t1 = 0
+    while t0 | h0 | h1 | t1:
+        tail = head = 0  # the targets of closing edges, entered with a tail or a head
+        line_t = line_h = 0  # the targets of untouched lines, entered with the section's mark
+        kept_t = kept_h = 0  # the targets of touched lines, touched whatever C
+        while t0:
+            low = t0 & -t0
+            t0 ^= low
+            v = low.bit_length() - 1
+            line_t |= lines[v]
+            tail |= into[v]
+            head |= out[v] | arcs[v]
+        while h0:
+            low = h0 & -h0
+            h0 ^= low
+            v = low.bit_length() - 1
+            line_h |= lines[v]
+            head |= out[v]
+        while h1:
+            low = h1 & -h1
+            h1 ^= low
+            v = low.bit_length() - 1
+            kept_h |= lines[v]
+            tail |= into[v]
+            head |= arcs[v]
+        while t1:
+            low = t1 & -t1
+            t1 ^= low
+            kept_t |= lines[low.bit_length() - 1]
+        tail |= line_t  # an untouched line splits by C as a closing edge does
+        head |= line_h
+        t0 = tail & free & ~seen_t0
+        h0 = head & free & ~seen_h0
+        if (t0 | h0) & bm:
+            return False
+        t1 = (tail & cm | kept_t) & ~seen_t1
+        h1 = (head & cm | kept_h) & ~seen_h1
+        seen_t0 |= t0
+        seen_h0 |= h0
+        seen_t1 |= t1
+        seen_h1 |= h1
     return True
 
 

@@ -17,7 +17,21 @@ import hypothesis
 from hypothesis import strategies as st
 
 from graphfaith.generate import all_anterial_graphs
-from graphfaith.graphs import ARC, ARROW, HEAD, LINE, MixedGraph, arc, arrow, graph_to_text, induced_model, line, separates
+from graphfaith.graphs import (
+    ARC,
+    ARROW,
+    HEAD,
+    LINE,
+    TAIL,
+    MixedGraph,
+    _check_query_sets,
+    arc,
+    arrow,
+    graph_to_text,
+    induced_model,
+    line,
+    separates,
+)
 from graphfaith.errors import ModelError, ParseError
 from graphfaith.faithfulness import _CLASS_OPTIONS, is_faithful
 from graphfaith.limits import DEFAULT_CAPS, HARD_MAX_ELEMENTARY_NODES, HARD_MAX_SKELETON_EDGES, require_within
@@ -185,6 +199,35 @@ def bruteforce_connecting_exists(g: MixedGraph, a_set, b_set, c_set, max_len):
     return any(extend([start], []) for start in sorted(a_set))
 
 
+def reference_separates(g: MixedGraph, a, b, c=()):
+    """The tuple-state engine that `separates` replaced: breadth-first search
+    over (node, entry mark of the current section, section touched C)
+    states, one Python tuple per state, over a label-keyed incidence list."""
+    a_set, b_set, c_set = frozenset(a), frozenset(b), frozenset(c)
+    _check_query_sets(g, a_set, b_set, c_set)
+    inc = {v: [] for v in g.nodes}
+    for e in g.edges:
+        inc[e.u].append((e.v, e.mark_at(e.u), e.mark_at(e.v), e.kind == LINE))
+        inc[e.v].append((e.u, e.mark_at(e.v), e.mark_at(e.u), e.kind == LINE))
+    seen = {(start, TAIL, False) for start in a_set}
+    queue = list(seen)
+    for v, mark, touched in queue:
+        for w, mark_v, mark_w, is_line in inc[v]:
+            if is_line:
+                state = (w, mark, touched or (w in c_set))
+            else:
+                if (mark == HEAD and mark_v == HEAD) != touched:
+                    continue  # the closed section fails its collider/non-collider test
+                state = (w, mark_w, w in c_set)
+            if state in seen:
+                continue
+            seen.add(state)
+            if w in b_set and not state[2]:
+                return False
+            queue.append(state)
+    return True
+
+
 def ug_path_blocking_separates(g: MixedGraph, a_set, b_set, c_set):
     """For undirected graphs: separated iff every simple path hits C."""
     assert all(e.kind == LINE for e in g.edges)
@@ -270,11 +313,32 @@ def reference_sets(g: MixedGraph, with_lines):
     return {j: frozenset(s) for j, s in out.items()}
 
 
+def reference_anterior_path(g: MixedGraph, start, goal):
+    """The first shortest path from start to goal over lines and arrows out,
+    breadth first with each node's neighbours in label order."""
+    step = {v: set() for v in g.nodes}
+    for e in g.edges:
+        if e.kind != ARC:
+            step[e.u].add(e.v)
+        if e.kind == LINE:
+            step[e.v].add(e.u)
+    prev = {start: None}
+    queue = [start]
+    for v in queue:
+        for w in sorted(step[v] - prev.keys()):
+            prev[w] = v
+            queue.append(w)
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
 def reference_semi_directed_cycle(g: MixedGraph):
     reach = reference_reach(g, True)
     for e in g.edges:
         if e.kind == ARROW and e.u in reach[e.v]:
-            return g._anterior_path(e.v, e.u) + (e.v,)
+            return reference_anterior_path(g, e.v, e.u) + (e.v,)
     return None
 
 

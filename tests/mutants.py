@@ -146,4 +146,30 @@ MUTANTS = (
         "reach = 1 << z & nodes",
         ("test_screen_prune.py",),
     ),
+    # the frontier walk of separates
+    Mutant(
+        "touched head entry follows arrows out (inverted collider test)",
+        "graphs.py",
+        "            kept_h |= lines[v]\n            tail |= into[v]",
+        "            kept_h |= lines[v]\n            head |= out[v]",
+        ("test_frontier_separation.py",),
+    ),
+    Mutant(
+        "a line from an untouched section ignores C",
+        "graphs.py",
+        "        tail |= line_t  # an untouched line splits by C as a closing edge does\n"
+        "        head |= line_h\n"
+        "        t0 = tail & free & ~seen_t0\n"
+        "        h0 = head & free & ~seen_h0",
+        "        t0 = (tail & free | line_t) & ~seen_t0\n"
+        "        h0 = (head & free | line_h) & ~seen_h0",
+        ("test_frontier_separation.py",),
+    ),
+    Mutant(
+        "the B test reads the touched frontiers",
+        "graphs.py",
+        "if (t0 | h0) & bm:",
+        "if (t1 | h1) & bm:",
+        ("test_frontier_separation.py",),
+    ),
 )

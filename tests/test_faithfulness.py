@@ -1,6 +1,7 @@
 """Markov/faithfulness deciders, graphicality search, and its sharp edges."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -20,6 +21,7 @@ from graphfaith.graphs import (
     markov_equivalent,
     model_skeleton,
     parse_graph_text,
+    separates,
 )
 from graphfaith import faithfulness, preorders
 from graphfaith.faithfulness import (
@@ -318,6 +320,34 @@ def test_screen_passes_are_faithful_exactly_when_maximal_on_four_nodes():
     assert _stabilities_hold(model, minimal_preorder(ancestral).leq_rows)
     assert classify(ancestral).is_ag and not classify(ancestral).is_maximal
     assert not is_faithful(model, ancestral)
+
+
+def test_screen_passes_agree_three_ways_on_seeded_five_node_models():
+    # Evidence, not a rule the code may use: on every screen pass of the
+    # models of random_anterial_graph(Random(s), "abcde", 0.5), s < 100, a
+    # pass is faithful exactly when it is maximal, and exactly when every
+    # non-adjacent pair i, j is separated given C(i,j).
+    seen, passes, unfaithful = set(), 0, 0
+    for s in range(100):
+        model = induced_model(random_anterial_graph(random.Random(s), "abcde", 0.5))
+        if model.members in seen:
+            continue
+        seen.add(model.members)
+        for directing in _iter_anterial_directings(model):
+            if not _stabilities_hold(model, directing.rows):
+                continue
+            passes += 1
+            h = directing.graph()
+            faithful = is_faithful(model, h)
+            assert faithful == classify(h).is_maximal
+            pairwise = all(
+                separates(h, {i}, {j}, pairwise_conditioning_set(h, i, j))
+                for i, j in itertools.combinations(sorted(h.nodes), 2)
+                if not h.is_adjacent(i, j)
+            )
+            assert faithful == pairwise
+            unfaithful += not faithful
+    assert (len(seen), passes, unfaithful) == (99, 15721, 306)
 
 
 def test_search_builds_no_preorder(monkeypatch):
