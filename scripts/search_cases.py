@@ -17,7 +17,8 @@ holds (its witness count, or its failure payload).  The cases:
   failures whose payload counts every directing of an 11-edge skeleton;
 - dag-pool: `restricted_graphical(model, "DAG")` over the models of the
   `search6` pool in `perfbench/pool.json`, timed as one sum; its digest
-  covers every verdict in pool order.
+  covers every verdict in pool order;
+- ang-pool: `decide_graphical` over the same models, built the same way.
 
 Usage: python scripts/search_cases.py [CASE ...]   (default: every case)
 """
@@ -82,11 +83,12 @@ def count(model):
     return run
 
 
-def dag_pool(models):
+def pool(models, search):
     def run():
-        verdicts = [restricted_graphical(model, "DAG") for model in models]
+        verdicts = [search(model) for model in models]
         found = sum(v.graphical for v in verdicts)
-        return digest([v.to_json_dict() for v in verdicts]), f"{len(models)} models, {found} with a DAG"
+        witnesses = sum(len(v.witnesses) for v in verdicts)
+        return digest([v.to_json_dict() for v in verdicts]), f"{len(models)} models, {found} graphical, {witnesses} witnesses"
 
     return run
 
@@ -98,7 +100,8 @@ CASES = {
     "k6": lambda: count(complete_model(6)),
     "s78": lambda: decide(flip(78)),
     "s87": lambda: decide(flip(87)),
-    "dag-pool": lambda: dag_pool(pool_models()),
+    "dag-pool": lambda: pool(pool_models(), lambda model: restricted_graphical(model, "DAG")),
+    "ang-pool": lambda: pool(pool_models(), decide_graphical),
 }
 
 

@@ -14,10 +14,11 @@ maximal or maximal but not faithful.  It also counts the passes that are
 separated pairwise: every non-adjacent pair i, j is separated given
 C(i,j) = ant(i) u ant(j) minus i and j (`pairwise_conditioning_set`), a
 test that has been seen to agree with maximality on every anterial graph
-tried; it exits 1 when the two differ on some pass.  It also counts the screen passes that
-break the unshielded-collider rule, which the graphicality search prunes by
-(see `faithfulness._collider_checks`), and the models with a row that rules
-out every directing.
+tried; it exits 1 when the two differ on some pass.  It also counts the
+screen passes that break a wanted non-collider, by the masks of
+`faithfulness._collider_checks` that the graphicality search prunes by (a
+pass keeps every wanted collider, which the screen's first test holds),
+and the models with a row that rules out every directing.
 
 Usage: python scripts/stability_screen_gap.py [n]   (default 4, cap 4)
 """
@@ -63,7 +64,7 @@ def main():
         seen.add(model.members)
         checks = _collider_checks(model)
         ruled_out += checks is None
-        # the directings that keep every collider check; none if a row rules all out
+        # the directings that keep every non-collider demand; none if a row rules all out
         kept = {d.choices for d in _iter_anterial_directings(model, colliders=checks)} if checks is not None else set()
         for directing in _iter_anterial_directings(model):
             if not _stabilities_hold(model, directing.rows):

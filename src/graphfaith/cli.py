@@ -24,7 +24,6 @@ from .faithfulness import (
     restricted_graphical,
 )
 from .gaussian import (
-    RationalMatrix,
     inverse,
     is_m_matrix,
     model_from_concentration,
@@ -32,7 +31,6 @@ from .gaussian import (
     parse_matrix_csv,
 )
 from .graphs import (
-    MixedGraph,
     classify,
     connecting_walk_oracle,
     graph_to_text,
@@ -43,7 +41,6 @@ from .graphs import (
 from . import limits
 from .limits import Caps, DEFAULT_CAPS
 from .models import (
-    IndependenceModel,
     check_composition,
     check_downward_stability,
     check_intersection,
@@ -56,32 +53,19 @@ from .models import (
     model_to_text,
     parse_model_text,
 )
-from .preorders import Preorder, minimal_preorder, parse_preorder_text
+from .preorders import minimal_preorder, parse_preorder_text
 
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _read(path: str) -> str:
+def _load(parse, path: str):
+    """`parse` of the file's text.  The verbs pass this module's `parse_*`
+    names, looked up at their call, so a wrapper set on one sees every call."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from None
-
-
-def load_graph(path: str) -> MixedGraph:
-    return parse_graph_text(_read(path), path=path)
-
-
-def load_model(path: str) -> IndependenceModel:
-    return parse_model_text(_read(path), path=path)
-
-
-def load_matrix(path: str) -> RationalMatrix:
-    return parse_matrix_csv(_read(path), path=path)
-
-
-def load_preorder(path: str) -> Preorder:
-    return parse_preorder_text(_read(path), path=path)
+    return parse(text, path=path)
 
 
 def _labels(option: str | None) -> frozenset[str]:
@@ -112,7 +96,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g = _load(parse_graph_text, args.graph)
     report = classify(g, maximality_cap=_caps_from(args).model_nodes)
     d = report.to_json_dict()
     human = "\n".join(f"{key}: {'-' if value is None else ('yes' if value else 'no')}" for key, value in d.items())
@@ -121,7 +105,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g = _load(parse_graph_text, args.graph)
     a, b, c = _labels(args.a), _labels(args.b), _labels(args.given)
     result = separates(g, a, b, c)
     walk = None
@@ -135,7 +119,7 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g = _load(parse_graph_text, args.graph)
     model = induced_model(g, cap=_caps_from(args).model_nodes, cross_check=args.cross_check)
     text = model_to_text(model)
     _emit(args, {"ground": list(model.ground), "model": text}, text.rstrip("\n"))
@@ -161,7 +145,7 @@ def _report(args: argparse.Namespace, reports: list) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _load(parse_model_text, args.model)
     caps = _caps_from(args)
     names = args.properties.split(",") if args.properties else list(_AXIOM_CHECKS)
     reports = []
@@ -178,16 +162,16 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     if args.trivial is not None and args.direction is not None:
         raise ParseError("--direction applies to --preorder and --minimal-of, not to --trivial")
-    model = load_model(args.model)
+    model = _load(parse_model_text, args.model)
     cap = _caps_from(args).elementary_axiom_nodes
     if args.trivial == "all-equivalent":
         return _report(args, [check_upward_stability(model, cap=cap)])
     if args.trivial == "all-incomparable":
         return _report(args, [check_downward_stability(model, cap=cap)])
     if args.preorder is not None:
-        p = load_preorder(args.preorder)
+        p = _load(parse_preorder_text, args.preorder)
     else:
-        g = load_graph(args.minimal_of)
+        g = _load(parse_graph_text, args.minimal_of)
         p = minimal_preorder(g)
         if frozenset(model.ground) != g.nodes:
             raise ParseError("graph nodes do not match the model ground")
@@ -197,8 +181,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_markov(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    g = load_graph(args.graph)
+    model = _load(parse_model_text, args.model)
+    g = _load(parse_graph_text, args.graph)
     caps = _caps_from(args)
     if args.variant == "pairwise":
         verdict = is_pairwise_markov(model, g)
@@ -215,15 +199,15 @@ def _cmd_markov(args: argparse.Namespace) -> int:
 
 
 def _cmd_faithful(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    g = load_graph(args.graph)
+    model = _load(parse_model_text, args.model)
+    g = _load(parse_graph_text, args.graph)
     verdict = is_faithful(model, g, cap=_caps_from(args).model_nodes)
     _emit(args, {"faithful": verdict}, f"faithful: {'yes' if verdict else 'no'}")
     return PASS if verdict else FAIL
 
 
 def _cmd_graphical(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _load(parse_model_text, args.model)
     caps = _caps_from(args)
     if args.class_filter:
         verdict = restricted_graphical(model, args.class_filter, caps=caps)
@@ -243,9 +227,9 @@ def _cmd_graphical(args: argparse.Namespace) -> int:
 
 def _cmd_gaussian(args: argparse.Namespace) -> int:
     if args.cov is not None:
-        matrix, role, build = load_matrix(args.cov), "covariance", model_from_covariance
+        matrix, role, build = _load(parse_matrix_csv, args.cov), "covariance", model_from_covariance
     else:
-        matrix, role, build = load_matrix(args.conc), "concentration", model_from_concentration
+        matrix, role, build = _load(parse_matrix_csv, args.conc), "concentration", model_from_concentration
     model = build(matrix, cap=_caps_from(args).model_nodes)
     info = {
         "role": role,
@@ -271,7 +255,7 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _load(parse_model_text, args.model)
     margin, cond = _labels(args.marginalize), _labels(args.condition)
     result = marginalize_and_condition(model, margin, cond)
     text = model_to_text(result)

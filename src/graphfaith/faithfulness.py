@@ -15,16 +15,10 @@ _search).  The confirmed witnesses are exactly the minimally-Markov members of t
 Markov equivalence class.  The class-restricted decisions (UG, BG, DAG)
 run the same search with fewer options per skeleton pair.
 
-Where a pair has a choice of options (AnG and DAG), the search is pruned by
-the model's unshielded colliders (see _collider_checks): each triple
-i - k - j of the skeleton with i, j non-adjacent must be a collider at k
-exactly when the model's row for i, j keeps k out of every separating set.
-It is also pruned by the screen's first test, which no prefix can pass
-again once it fails.  Both prunes drop only directings that cannot be
-faithful, so the pruned search finds the same witnesses in the same order.
-A failure reports how many directings the unpruned search would try,
-counted by a memo (`preorders._count_anterial_directings`), and how many
-would pass the screen, all of which the upward prune keeps.
+Where a pair has a choice of options (AnG and DAG), the search also drops
+the directings that break the model's unshielded colliders or fail the
+screen's first test; see _search for the demands and why no witness is
+lost.  A failure reports the counts of the unpruned search.
 """
 
 from __future__ import annotations
@@ -60,6 +54,8 @@ def pairwise_conditioning_set(g: MixedGraph, i: str, j: str) -> frozenset[str]:
     if i not in g.nodes or j not in g.nodes:
         missing = i if i not in g.nodes else j
         raise GraphError(f"unknown node label {missing!r}")
+    if i == j:
+        raise GraphError(f"a pair needs two nodes, got {i!r} twice")
     if g.is_adjacent(i, j):
         raise GraphError(f"nodes {i!r} and {j!r} are adjacent; no pairwise conditioning set")
     ant = g.anterior_sets
@@ -190,10 +186,10 @@ def _gate_failure(model: IndependenceModel, kind: str, caps) -> Failure | None:
 _CLASS_OPTIONS = {"UG": (LINE,), "BG": (ARC,), "DAG": (ARROW, "<-"), "ANG": _EDGE_OPTIONS}
 
 
-def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, int, bool], ...], ...] | None:
-    """The unshielded-collider checks of the model's skeleton, in the layout
-    that `_iter_anterial_directings` takes, or None when some row rules out
-    every faithful directing.
+def _collider_checks(model: IndependenceModel) -> tuple[tuple[int, ...], ...] | None:
+    """The non-collider demands of the model's unshielded triples, as packed
+    masks filed by depth for `_iter_anterial_directings`, or None when some
+    row rules out every faithful directing.
 
     Take i, j non-adjacent in the skeleton and k adjacent to both.  In any
     directing of the skeleton, the walk i, k, j has end sections that hold i
@@ -210,30 +206,31 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[tuple[int, int, in
     A row with k in some separating sets but not in all fits neither, and
     no directing of the skeleton is faithful.
 
-    Each check is listed at the later of the triple's two pairs, in the
-    sorted order of the skeleton pairs that the enumerator uses:
-    (earlier pair, end of the earlier pair at k, end of the later pair at
-    k, collider wanted), with end 0 the smaller node of a pair.
+    A wanted collider gets no entry: the upward mask enforces it (see
+    _search).  A wanted non-collider needs a mark at k that is no head, so
+    k an anterior of i or of j.  Its mask holds bit k of rows i and j, and
+    is filed at the depth of the triple's later pair in the sorted order of
+    the skeleton pairs, which the enumerator uses.
     """
-    rows = model._elementary
+    rows, n = model._elementary, model.n
     pairs = sorted(pair for pair, row in rows.items() if not row)  # the enumerator's order
-    at = {}  # (x, k): (the pair of x and k, k's end of it)
-    neighbours = [0] * model.n
-    for e, (u, v) in enumerate(pairs):
-        at[u, v], at[v, u] = (e, 1), (e, 0)
+    depth = {}  # (x, k): the depth of the pair of x and k
+    neighbours = [0] * n
+    for d, (u, v) in enumerate(pairs):
+        depth[u, v] = depth[v, u] = d
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
-    holding = _sets_holding(model.n)
-    checks: list[list[tuple[int, int, int, bool]]] = [[] for _ in pairs]
+    holding = _sets_holding(n)
+    demands: list[list[int]] = [[] for _ in pairs]
     for (i, j), row in rows.items():
         common = neighbours[i] & neighbours[j] if row else 0  # none for adjacent i, j
         for k in _iter_bits(common):
             inside = row & holding[k]
-            if inside and inside != row:
+            if inside == row:  # k in every separating set: a non-collider
+                demands[max(depth[i, k], depth[j, k])].append(1 << n * i + k | 1 << n * j + k)
+            elif inside:
                 return None
-            (e, s), (d, t) = sorted((at[i, k], at[j, k]))
-            checks[d].append((e, s, t, not inside))
-    return tuple(map(tuple, checks))
+    return tuple(map(tuple, demands))
 
 
 def _sweep(
@@ -278,18 +275,28 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     singleton-transitive graphoid is faithful to its skeleton in lines, and
     dually in arcs), so their one candidate must be a witness.
 
-    With more than one option (AnG, DAG), the pass skips every directing
-    that breaks an unshielded-collider check (see _collider_checks), and
-    every prefix whose anterior rows trip the screen's first test
-    (`models._upward_rows_mask`), which no leaf below it can pass.  No
-    faithful directing breaks a check or trips the test, and the skipped ones
-    leave the order of the rest as it is, so the pass confirms the witnesses
-    of the unpruned search in the same order.  A search without a witness
-    reports two counts of the unpruned search: the directings tried, from
-    the memo of `preorders._count_anterial_directings`, and the screen
-    passes, which lie among the directings that the upward prune keeps.  So
-    these are screened again without the collider checks when the pass had
-    any, and otherwise the pass's own screen count is reported.
+    With more than one option (AnG, DAG), the enumerator tests two demands
+    on each kept prefix's anterior rows.  Once the pair of x and k is
+    placed, its mark at k is a head exactly when k is not in ant(x): a tail
+    steps k into ant(x), and a head forbids it there.  The upward mask
+    (`models._upward_rows_mask`), which seeds the forbidden rows, is the
+    screen's first test: an up_any node of a pair i, j in ant(i) or ant(j)
+    gives an upward break, and rows only gain bits down the tree, so every
+    leaf below breaks it too.  It holds every wanted collider (see
+    _collider_checks): if k is in no separating set of i, j, then for any
+    separating set C, C u {k} does not separate i and j, so k is in up_any
+    of i, j, and k stays out of ant(i) and ant(j) exactly when both marks
+    at k are heads.  The masks of `_collider_checks` hold the other half,
+    tested once both pairs of the triple are placed: a wanted non-collider
+    at k needs k in ant(i) or ant(j).  No faithful directing breaks either
+    demand, and the dropped ones leave the order of the rest as it is, so
+    the pass confirms the witnesses of the unpruned search in the same
+    order.  A search without a witness reports two counts of the unpruned
+    search: the directings tried, from the memo of
+    `preorders._count_anterial_directings`, and the screen passes, which
+    lie among the directings that the upward mask keeps.  So these are
+    screened again without the non-collider masks when the pass had any,
+    and otherwise the pass's own screen count is reported.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
@@ -335,12 +342,9 @@ def decide_graphical(
     be anterial (pruning drops only prefixes whose every completion is not)
     and must pass the stability screen, so the sweep sees every possible
     witness.  Candidates are streamed, never held in a list.  The sweep
-    skips the directings that break the model's unshielded colliders, which
-    no faithful graph does, and every prefix that fails the screen's upward
-    test, which no leaf below it passes.  A failure's count of directings
-    tried comes from a memo over the skeleton pairs, and its screen passes
-    from the upward-pruned directings (see _search), so the witnesses, their
-    order and the failure counts are those of the unpruned sweep.
+    skips directings that no faithful graph can be (see _search), so the
+    witnesses, their order and the failure counts are those of the
+    unpruned sweep.
     """
     return _search(model, "ANG", caps)
 

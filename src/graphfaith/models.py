@@ -937,10 +937,10 @@ def check_dag_ordered_stabilities(
 
 
 def _upward_rows_mask(model: IndependenceModel) -> int:
-    """The first test of `_stabilities_hold` on n packed rows (row y at bits
-    n*y ... n*y+n-1, as the directing search packs them): the rows meet this
-    mask exactly when some table pair i, j has a node of up_any in row i or
-    row j, and the screen then fails."""
+    """The first test of the stability screen on n packed rows (row y at
+    bits n*y ... n*y+n-1, as the directing search packs them): the rows meet
+    this mask exactly when some table pair i, j has a node of up_any in row
+    i or row j, and `_ordered_up_breaks` then finds a break."""
     n, mask = model.n, 0
     for i, j, up_any, _, _, _ in model._stability_table:
         mask |= up_any << n * i | up_any << n * j
@@ -950,10 +950,6 @@ def _upward_rows_mask(model: IndependenceModel) -> int:
 def _stabilities_hold(model: IndependenceModel, leq: Sequence[int]) -> bool:
     """Both ordered stabilities hold under the preorder with these leq rows;
     the screen of the directing search."""
-    # Most candidates fail here, before the preorder's columns are needed.
-    for i, j, up_any, _, _, _ in model._stability_table:
-        if up_any & (leq[i] | leq[j]):
-            return False
     breaks = (_ordered_up_breaks, _ordered_down_breaks)
     return all(next(scan(model, leq), None) is None for scan in breaks)
 

@@ -43,6 +43,8 @@ class Preorder:
     def __post_init__(self) -> None:
         if len(self.leq_rows) != len(self.ground):
             raise PreorderError("relation size does not match ground size")
+        if len(set(self.ground)) != len(self.ground):
+            raise PreorderError("ground contains duplicate labels")
         for label, row in zip(self.ground, self.leq_rows):
             if row < 0 or row >> len(self.ground):
                 raise PreorderError(f"row of {label!r} relates it to a node outside the ground")
@@ -328,21 +330,14 @@ def _iter_anterial_directings(
     With (ARROW, "<-") these are the DAGs; with None, also every anterial
     graph on part of the skeleton.
 
-    `colliders`, for the graphicality search only, drops more: colliders[d]
-    lists the checks (e, s, t, collider) that fire once pair d is placed,
-    each on a triple whose other pair e comes earlier.  The middle node of
-    the triple is end s of pair e and end t of pair d (0 the first end, 1 the
-    second), and the check passes when both marks there are heads exactly
-    if `collider` says so.  A placement kept by the anterial pruning is also
-    dropped, with its subtree, when a check fails; the directings that are
-    left keep their order.  The options must then all be joins.
-
-    `up`, a mask in the packed layout of `_direct_edge`'s rows
-    (`models._upward_rows_mask`), drops a placement, with its subtree, once
-    the anterior rows meet it: one AND per placement.  That is the first
-    test of the stability screen, and rows only gain bits down the tree, so
-    every leaf below fails the screen too, and the directings that are left
-    are exactly those whose own rows pass that test, in the same order.
+    `up` and `colliders`, for the graphicality search only, drop more
+    placements, each with its subtree; the directings that are left keep
+    their order (see `faithfulness._search` for the demands they enforce).
+    `up`, a mask in the packed layout of `_direct_edge`'s rows, seeds the
+    forbidden rows, so the one `ant & forbid` test drops a placement whose
+    anterior rows meet it.  colliders[d] lists masks in the same layout,
+    each of which the anterior rows must meet once pair d is placed.  The
+    options must then all be joins.
     """
     pairs = tuple(sorted(skeleton_pairs(model)))
     k = len(pairs)
@@ -351,11 +346,11 @@ def _iter_anterial_directings(
     index = model._index
     ends = [(index[u], index[v]) for u, v in pairs]
     ground, n = model.ground, model.n
-    states = [(_identity_rows(n), 0)] + [None] * k
+    states = [(_identity_rows(n), up)] + [None] * k
     if k == 0:
         yield Directing(ground, pairs, (), _unpack_rows(states[0][0], n))
         return
-    heads = [_HEADS[option] for option in options] if colliders is not None else None
+    demands = colliders or ((),) * k
     picks = [-1] * k
     depth = 0
     while depth >= 0:
@@ -365,12 +360,8 @@ def _iter_anterial_directings(
             depth -= 1
             continue
         state = _direct_edge(*states[depth], n, *ends[depth], options[picks[depth]])
-        if state is None or state[0] & up:
+        if state is None or not all(state[0] & m for m in demands[depth]):
             continue
-        if heads is not None:
-            here = heads[picks[depth]]
-            if any((heads[picks[e]][s] and here[t]) != collider for e, s, t, collider in colliders[depth]):
-                continue
         if depth + 1 < k:
             depth += 1
             states[depth] = state
@@ -381,7 +372,7 @@ def _iter_anterial_directings(
 
 def _count_anterial_directings(model: IndependenceModel, options=_EDGE_OPTIONS) -> int:
     """How many directings `_iter_anterial_directings` yields with these
-    options and no collider checks or upward mask, counted by a memo over
+    options and no demand masks or upward mask, counted by a memo over
     the sorted skeleton pairs instead of a walk to every leaf.
 
     At depth d the live nodes are the ends of the pairs not yet placed;

@@ -585,6 +585,12 @@ def reference_collider_demands(model: IndependenceModel):
     return wanted
 
 
+def trips_first_test(model: IndependenceModel, rows) -> bool:
+    """The first test of the stability screen, read from the stability table
+    row by row: some table pair i, j has a node of up_any in row i or j."""
+    return any(up_any & (rows[i] | rows[j]) for i, j, up_any, _, _, _ in model._stability_table)
+
+
 def keeps_collider_demands(g: MixedGraph, wanted) -> bool:
     """Every demanded triple of g has two heads at its middle node exactly
     when a collider is wanted there."""

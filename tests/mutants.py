@@ -146,6 +146,28 @@ MUTANTS = (
         "reach = 1 << z & nodes",
         ("test_screen_prune.py",),
     ),
+    # the model's demands on the directing search's packed rows
+    Mutant(
+        "forbid not seeded with the upward mask",
+        "preorders.py",
+        "states = [(_identity_rows(n), up)] + [None] * k",
+        "states = [(_identity_rows(n), 0)] + [None] * k",
+        ("test_collider_prune.py", "test_screen_prune.py"),
+    ),
+    Mutant(
+        "non-collider demand on row i only",
+        "faithfulness.py",
+        "append(1 << n * i + k | 1 << n * j + k)",
+        "append(1 << n * i + k)",
+        ("test_collider_prune.py", "test_screen_prune.py"),
+    ),
+    Mutant(
+        "non-collider demand filed at the earlier pair",
+        "faithfulness.py",
+        "demands[max(depth[i, k], depth[j, k])]",
+        "demands[min(depth[i, k], depth[j, k])]",
+        ("test_collider_prune.py", "test_screen_prune.py"),
+    ),
     # the frontier walk of separates
     Mutant(
         "touched head entry follows arrows out (inverted collider test)",

@@ -7,6 +7,7 @@ no prune beyond the anterial one.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from functools import lru_cache
@@ -18,10 +19,16 @@ from graphfaith.faithfulness import _collider_checks, restricted_graphical
 from graphfaith.generate import all_anterial_graphs, flip_one_elementary, random_anterial_graph
 from graphfaith.graphs import induced_model, parse_graph_text
 from graphfaith.limits import DEFAULT_CAPS
-from graphfaith.models import skeleton_pairs
+from graphfaith.models import _upward_rows_mask, skeleton_pairs
 from graphfaith.preorders import _iter_anterial_directings, enumerate_compatible_preorders
 
-from conftest import census_models, keeps_collider_demands, reference_collider_demands, reference_search_json
+from conftest import (
+    census_models,
+    keeps_collider_demands,
+    reference_collider_demands,
+    reference_search_json,
+    trips_first_test,
+)
 
 
 @lru_cache(maxsize=None)
@@ -72,8 +79,8 @@ def passes(monkeypatch):
 
 def assert_same_verdict(passes, model, kind):
     """The verdict JSON equals the unpruned one.  The witness pass takes the
-    collider checks exactly when the model has one; a failure after such a
-    pass screens again without them, for the payload's screen count."""
+    non-collider masks exactly when the model has one; a failure after such
+    a pass screens again without them, for the payload's screen count."""
     verdict = restricted_graphical(model, kind)
     assert json.dumps(verdict.to_json_dict()) == json.dumps(reference_search_json(model, kind))
     checks = _collider_checks(model)
@@ -85,18 +92,54 @@ def assert_same_verdict(passes, model, kind):
 
 
 def assert_prune_is_the_collider_rule(model, kind):
-    """The pruned enumeration yields exactly the unpruned directings that
-    keep the statement-by-statement collider rule, in the same order."""
+    """The enumeration with the non-collider masks and the upward mask
+    yields exactly the unpruned directings that keep the statement-by-
+    statement collider rule and pass the screen's first test, in the same
+    order: the upward mask carries the wanted colliders."""
     wanted = reference_collider_demands(model)
     checks = _collider_checks(model)
     assert (checks is None) == (wanted is None)
     if wanted is None:
         return
     options = faithfulness._CLASS_OPTIONS[kind.upper()]
-    pruned = [d.choices for d in _iter_anterial_directings(model, options=options, colliders=checks)]
-    unpruned = _iter_anterial_directings(model, options=options)
-    expected = [d.choices for d in unpruned if keeps_collider_demands(d.graph(), wanted)]
+    up = _upward_rows_mask(model)
+    pruned = [d.choices for d in _iter_anterial_directings(model, options=options, colliders=checks, up=up)]
+    expected = [
+        d.choices
+        for d in _iter_anterial_directings(model, options=options)
+        if keeps_collider_demands(d.graph(), wanted) and not trips_first_test(model, d.rows)
+    ]
     assert pruned == expected
+
+
+def wanted_colliders(model):
+    """(i, k, j) for each unshielded triple of the skeleton whose middle node
+    k is in no separating set of i and j, by index."""
+    skeleton = skeleton_pairs(model)
+
+    def adjacent(x, y):
+        return (min(x, y), max(x, y)) in skeleton
+
+    g = model.ground
+    for i, j in itertools.combinations(g, 2):
+        if adjacent(i, j):
+            continue
+        rest = [x for x in g if x not in (i, j)]
+        subsets = (c for r in range(len(rest) + 1) for c in itertools.combinations(rest, r))
+        separating = [c for c in subsets if model.contains({i}, {j}, set(c))]
+        for k in rest:
+            if adjacent(i, k) and adjacent(j, k) and all(k not in c for c in separating):
+                yield model._index[i], model._index[k], model._index[j]
+
+
+def assert_upward_mask_holds_the_wanted_colliders(models):
+    found = 0
+    for model in models:
+        up, n = _upward_rows_mask(model), model.n
+        for i, k, j in wanted_colliders(model):
+            found += 1
+            assert up >> n * i + k & 1 and up >> n * j + k & 1
+    assert found
 
 
 @pytest.mark.parametrize("kind", ["AnG", "DAG"])
@@ -165,6 +208,13 @@ def test_one_option_searches_take_no_prune(monkeypatch, passes, kind, text):
 
 def test_collider_checks_layout():
     # a -> c <- b, c -- d: pairs (a,c) (b,c) (c,d); a, b meet at c as a
-    # collider; a, d and b, d meet at c as non-colliders
+    # collider, which gets no mask; a, d and b, d meet at c as
+    # non-colliders, each filed at (c,d) with bit c of rows a, d and b, d
     model = induced_model(parse_graph_text("a -> c\nb -> c\nc -- d"))
-    assert _collider_checks(model) == ((), ((0, 1, 1, True),), ((0, 1, 0, False), (1, 1, 0, False)))
+    assert _collider_checks(model) == ((), (), (1 << 2 | 1 << 14, 1 << 6 | 1 << 14))
+
+
+def test_upward_mask_holds_every_wanted_collider():
+    consistent, inconsistent = gate_passing_models_without_witness()
+    for models in (census_models(), seeded_graph_models(), consistent, inconsistent):
+        assert_upward_mask_holds_the_wanted_colliders(models)

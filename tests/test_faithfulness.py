@@ -101,6 +101,11 @@ def test_conditioning_set_adjacent_error():
         pairwise_conditioning_set(g("a -- b"), "a", "b")
 
 
+def test_conditioning_set_of_one_node_twice_is_refused():
+    with pytest.raises(GraphError, match="two nodes"):
+        pairwise_conditioning_set(g("a -- b\nb -> c"), "a", "a")
+
+
 # -- markov deciders ------------------------------------------------------------------
 
 

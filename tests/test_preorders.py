@@ -127,6 +127,11 @@ def test_rows_outside_the_ground_are_refused(rows):
         Preorder(("a", "b"), rows)
 
 
+def test_duplicate_ground_labels_are_refused():
+    with pytest.raises(PreorderError, match="ground contains duplicate labels"):
+        Preorder(("a", "a"), (1, 2))
+
+
 def test_rows_inside_the_ground_are_accepted():
     assert Preorder(("a", "b"), (0b11, 0b10)).leq("b", "b")
     assert Preorder((), ()).classes() == ()

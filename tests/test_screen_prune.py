@@ -26,7 +26,7 @@ from graphfaith.limits import Caps
 from graphfaith.models import _upward_rows_mask, skeleton_pairs
 from graphfaith.preorders import _count_anterial_directings, _iter_anterial_directings
 
-from conftest import census_models, reference_search_json, reference_sweep
+from conftest import census_models, reference_search_json, reference_sweep, trips_first_test
 from test_collider_prune import gate_passing_models_without_witness, seeded_graph_models
 
 KINDS = ("AnG", "DAG")
@@ -46,15 +46,10 @@ def seeded_flip(seed):
     return flip_one_elementary(random.Random(seed), seeded_model(seed))
 
 
-def trips_first_test(model, rows):
-    """The first test of the screen, read from the stability table row by row."""
-    return any(up_any & (rows[i] | rows[j]) for i, j, up_any, _, _, _ in model._stability_table)
-
-
 def assert_prune_keeps_the_first_test_passes(model, kind):
     """The upward prune yields exactly the unpruned directings whose rows
     pass the screen's first test, in the same order, with or without the
-    collider checks."""
+    non-collider masks."""
     options = _CLASS_OPTIONS[kind.upper()]
     up = _upward_rows_mask(model)
     checks = _collider_checks(model)
@@ -136,8 +131,8 @@ def test_memo_count_equals_the_enumerator_on_seeded_models():
 @pytest.mark.parametrize("seed", [78, 87])
 def test_a_failure_counts_without_walking_every_directing(monkeypatch, seed):
     # A row of s = 78 rules out every directing, so its one pass has no
-    # collider checks and its screen count is the payload's; s = 87 has
-    # checks, and a second pass screens without them.  Each pass walks only
+    # non-collider masks and its screen count is the payload's; s = 87 has
+    # masks, and a second pass screens without them.  Each pass walks only
     # what the upward prune keeps, and the memo counts the rest.
     passes = []
     original = faithfulness._iter_anterial_directings
