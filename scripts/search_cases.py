@@ -15,6 +15,9 @@ holds (its witness count, or its failure payload).  The cases:
 - s78, s87: `flip_one_elementary(Random(s), induced_model(
   random_anterial_graph(Random(s), "abcdefg", 0.5)))`, gate-passing
   failures whose payload counts every directing of an 11-edge skeleton;
+- e47: the same flip with seed 47 on "abcdef", a gate-passing failure
+  whose non-collider masks are all empty, so its witness pass runs
+  unpruned and its screen passes are counted by a second enumeration;
 - dag-pool: `restricted_graphical(model, "DAG")` over the models of the
   `search6` pool in `perfbench/pool.json`, timed as one sum; its digest
   covers every verdict in pool order;
@@ -100,6 +103,9 @@ CASES = {
     "k6": lambda: count(complete_model(6)),
     "s78": lambda: decide(flip(78)),
     "s87": lambda: decide(flip(87)),
+    "e47": lambda: decide(
+        flip_one_elementary(random.Random(47), induced_model(random_anterial_graph(random.Random(47), "abcdef", 0.5)))
+    ),
     "dag-pool": lambda: pool(pool_models(), lambda model: restricted_graphical(model, "DAG")),
     "ang-pool": lambda: pool(pool_models(), decide_graphical),
 }

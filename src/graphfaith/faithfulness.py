@@ -2,8 +2,9 @@
 
 The central decision: a model is faithful to some graph exactly when it is a
 singleton-transitive compositional graphoid and its skeleton admits a
-directing that is faithful to it.  The search walks the anterial directings
-of the skeleton depth first and prunes every prefix that already closes a
+directing that is faithful to it (the "only if" is a checked hypothesis; see
+decide_graphical).  The search walks the anterial directings of the
+skeleton depth first and prunes every prefix that already closes a
 semi-directed cycle or puts an arc between a node and its anterior; adding
 edges never removes either failure, so no anterial directing is lost.  Each
 candidate is screened by the compatible-preorder stability conditions
@@ -209,11 +210,10 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[int, ...], ...] | 
     A wanted collider gets no entry: the upward mask enforces it (see
     _search).  A wanted non-collider needs a mark at k that is no head, so
     k an anterior of i or of j.  Its mask holds bit k of rows i and j, and
-    is filed at the depth of the triple's later pair in the sorted order of
-    the skeleton pairs, which the enumerator uses.
+    is filed at the depth of the triple's later pair in `model._skeleton`.
+    _search skips its witness pass on None.
     """
-    rows, n = model._elementary, model.n
-    pairs = sorted(pair for pair, row in rows.items() if not row)  # the enumerator's order
+    rows, n, pairs = model._elementary, model.n, model._skeleton
     depth = {}  # (x, k): the depth of the pair of x and k
     neighbours = [0] * n
     for d, (u, v) in enumerate(pairs):
@@ -231,23 +231,6 @@ def _collider_checks(model: IndependenceModel) -> tuple[tuple[int, ...], ...] | 
             elif inside:
                 return None
     return tuple(map(tuple, demands))
-
-
-def _sweep(
-    model: IndependenceModel, options, edge_cap: int, model_cap: int, colliders, up: int
-) -> tuple[list[MixedGraph], int]:
-    """The witnesses among the directings that the enumerator yields, with
-    the number of screen passes."""
-    witnesses: list[MixedGraph] = []
-    screened = 0
-    for directing in _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=colliders, up=up):
-        if not _stabilities_hold(model, directing.rows):
-            continue
-        screened += 1
-        g = directing.graph()
-        if is_faithful(model, g, cap=model_cap):
-            witnesses.append(g)
-    return witnesses, screened
 
 
 def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
@@ -291,32 +274,36 @@ def _search(model: IndependenceModel, kind: str, caps) -> FaithfulnessVerdict:
     at k needs k in ant(i) or ant(j).  No faithful directing breaks either
     demand, and the dropped ones leave the order of the rest as it is, so
     the pass confirms the witnesses of the unpruned search in the same
-    order.  A search without a witness reports two counts of the unpruned
-    search: the directings tried, from the memo of
-    `preorders._count_anterial_directings`, and the screen passes, which
-    lie among the directings that the upward mask keeps.  So these are
-    screened again without the non-collider masks when the pass had any,
-    and otherwise the pass's own screen count is reported.
+    order.  A search without a witness reports the unpruned counts: the
+    directings tried, from the memo of `preorders._count_anterial_directings`,
+    and the screen passes, counted over the directings that the upward mask
+    keeps, where every screen pass lies.
     """
     failure = _gate_failure(model, kind, caps)
     if failure is not None:
         return FaithfulnessVerdict(False, (), failure)
-    model_cap = max(caps.model_nodes, model.n)
     options = _CLASS_OPTIONS[kind]
     # one option draws one graph, so only a choice between options is capped and pruned
     choice = len(options) > 1
-    edge_cap = caps.skeleton_edges if choice else len(skeleton_pairs(model))
-    colliders = _collider_checks(model) if choice else None
-    checks = colliders if colliders and any(colliders) else None
+    edge_cap = caps.skeleton_edges if choice else len(model._skeleton)
     up = _upward_rows_mask(model) if choice else 0
-    witnesses, screened = _sweep(model, options, edge_cap, model_cap, checks, up)
+    demands = _collider_checks(model) if choice else ()
+    witnesses = []
+    if demands is not None:  # None: no directing of the skeleton is faithful
+        directings = _iter_anterial_directings(
+            model, edge_cap=edge_cap, options=options, colliders=demands or None, up=up
+        )
+        for directing in directings:
+            if _stabilities_hold(model, directing.rows):
+                g = directing.graph()
+                if is_faithful(model, g, cap=model.n):
+                    witnesses.append(g)
     if witnesses:
         return FaithfulnessVerdict(True, tuple(witnesses), None)
     if not choice:
         raise InternalCheckError(f"the {kind} gate passed, but the skeleton drawn in {options[0]} is not faithful")
-    if checks is not None:
-        directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, up=up)
-        screened = sum(_stabilities_hold(model, directing.rows) for directing in directings)
+    directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, up=up)
+    screened = sum(_stabilities_hold(model, directing.rows) for directing in directings)
     tried = _count_anterial_directings(model, options)
     arrows_only = kind == "DAG"
     property_name = "compatible-order-search" if arrows_only else "compatible-preorder-search"
@@ -337,14 +324,21 @@ def decide_graphical(
     the pruned depth-first search yields it: its minimal preorder is
     compatible by construction, and the directing is a witness when both
     ordered stabilities hold and `is_faithful` confirms it row by row (see
-    _search for why the second step is load-bearing).
-    Exact either way: a faithful graph must have the model's skeleton, must
-    be anterial (pruning drops only prefixes whose every completion is not)
-    and must pass the stability screen, so the sweep sees every possible
-    witness.  Candidates are streamed, never held in a list.  The sweep
-    skips directings that no faithful graph can be (see _search), so the
-    witnesses, their order and the failure counts are those of the
-    unpruned sweep.
+    _search for why the second step is load-bearing).  A faithful graph
+    must be anterial (pruning drops only prefixes whose every completion is
+    not) and must pass the stability screen, so the search finds every
+    faithful graph on the model's skeleton.
+
+    Not every faithful graph has that skeleton: a non-maximal one has fewer
+    edges (on four nodes, 78 of the 5,000 anterial graphs are non-maximal,
+    and they induce 13 of the 299 models).  So `graphical: false` rests on
+    the checked hypothesis that `FaithfulnessVerdict` states: every model
+    with a faithful graph has one on its own skeleton.  It holds for all
+    299 four-node models, the 13 included (a tier-1 test), and for 3,000
+    distinct models of seeded non-maximal five-node graphs.  Candidates are
+    streamed, never held in a list.  The search skips directings that no
+    faithful graph can be (see _search), so the witnesses, their order and
+    the failure counts are those of the unpruned search.
     """
     return _search(model, "ANG", caps)
 
@@ -358,12 +352,8 @@ def restricted_graphical(
     """Graphicality within one graph class: UG, BG, DAG, or AnG.
 
     Every class runs _search with its own gate and the options its pairs
-    may take.  The UG and BG gates hold the closed-form conditions (an
-    upward-stable singleton-transitive graphoid is faithful to the graph its
-    everything-else conditioning sets draw, and dually for bidirected graphs
-    with marginal independences), so their search draws one candidate.  The
-    DAG route tries arrow-only directings, i.e. preorders with singleton
-    classes.
+    may take.  The DAG route tries arrow-only directings, i.e. preorders
+    with singleton classes.
     """
     kind = class_filter.strip().upper()
     if kind not in _CLASS_OPTIONS:

@@ -31,7 +31,6 @@ from .models import (
     _require_label,
     _sets_holding,
     model_from_elementary,
-    skeleton_pairs,
 )
 
 TAIL = "tail"
@@ -725,10 +724,8 @@ def skeleton(g: MixedGraph) -> MixedGraph:
 
 def model_skeleton(model: IndependenceModel) -> MixedGraph:
     """Lines-only graph with an edge wherever no conditioning set separates."""
-    return MixedGraph(
-        frozenset(model.ground),
-        tuple(line(u, v) for u, v in sorted(skeleton_pairs(model))),
-    )
+    g = model.ground
+    return MixedGraph(frozenset(g), tuple(line(g[i], g[j]) for i, j in model._skeleton))
 
 
 def markov_equivalent(g1: MixedGraph, g2: MixedGraph, *, cap: int = DEFAULT_CAPS.model_nodes) -> bool:

@@ -278,6 +278,13 @@ class IndependenceModel:
         return table
 
     @cached_property
+    def _skeleton(self) -> tuple[tuple[int, int], ...]:
+        """The pairs i < j whose elementary row is empty, in `_elementary`'s
+        order: the skeleton's edges, in the order the directing search
+        places them."""
+        return tuple(pair for pair, row in self._elementary.items() if not row)
+
+    @cached_property
     def _stability_table(self) -> tuple[tuple[int, int, int, int, tuple, tuple], ...]:
         """What the ordered stabilities of any preorder can trip on.
 
@@ -546,7 +553,7 @@ def skeleton_pairs(model: IndependenceModel) -> frozenset[tuple[str, str]]:
     no C with <i,j|C> in the model exists.
     """
     g = model.ground
-    return frozenset((g[i], g[j]) for (i, j), row in model._elementary.items() if not row)
+    return frozenset((g[i], g[j]) for i, j in model._skeleton)
 
 
 def marginalize_and_condition(

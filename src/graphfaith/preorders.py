@@ -30,7 +30,7 @@ from .errors import CapExceededError, GraphError, ParseError, PreorderError
 from .graphs import ARC, ARROW, LINE, MixedGraph, arc, arrow, line, model_skeleton
 from .graphs import _add_anterior_step, _identity_rows, _unpack_rows
 from .limits import DEFAULT_CAPS
-from .models import IndependenceModel, _columns, _iter_bits, _require_label, skeleton_pairs
+from .models import IndependenceModel, _columns, _iter_bits, _require_label
 
 
 @dataclass(frozen=True)
@@ -266,11 +266,11 @@ def is_compatible(p: Preorder, model: IndependenceModel) -> bool:
 class Directing(NamedTuple):
     """One anterial directing of a model's skeleton over the sorted `ground`.
 
-    `choices[e]` is the option taken by the e-th sorted skeleton pair
-    (u, v): one of _EDGE_OPTIONS, or None when the pair is left unjoined.
-    `rows` are the leq rows of the minimal preorder of the directed graph:
-    bit j of rows[i] is set when ground[j] is an anterior of ground[i] or
-    j == i.
+    `choices[e]` is the option taken by the e-th skeleton pair (u, v), in
+    `model._skeleton`'s order: one of _EDGE_OPTIONS, or None when the pair
+    is left unjoined.  `rows` are the leq rows of the minimal preorder of
+    the directed graph: bit j of rows[i] is set when ground[j] is an
+    anterior of ground[i] or j == i.
     """
 
     ground: tuple[str, ...]
@@ -321,12 +321,13 @@ def _iter_anterial_directings(
     """All anterial directings of the model's skeleton whose every pair takes
     one of `options`, in lexicographic order of the per-pair choice vector.
 
-    Depth-first over the sorted skeleton pairs.  A prefix is dropped with its
-    whole subtree as soon as an arrow closes a semi-directed cycle (its head
-    becomes an anterior of its tail) or an arc joins a node to one of its
-    anteriors.  Adding edges only grows anterior sets, so neither failure can
-    be undone further down: the pruning is exact, and the yielded directings
-    and their order are those of filtering all len(options)^k choice vectors.
+    Depth-first over the skeleton pairs in `model._skeleton`'s order.  A
+    prefix is dropped with its whole subtree as soon as an arrow closes a
+    semi-directed cycle (its head becomes an anterior of its tail) or an arc
+    joins a node to one of its anteriors.  Adding edges only grows anterior
+    sets, so neither failure can be undone further down: the pruning is
+    exact, and the yielded directings and their order are those of
+    filtering all len(options)^k choice vectors.
     With (ARROW, "<-") these are the DAGs; with None, also every anterial
     graph on part of the skeleton.
 
@@ -339,13 +340,12 @@ def _iter_anterial_directings(
     each of which the anterior rows must meet once pair d is placed.  The
     options must then all be joins.
     """
-    pairs = tuple(sorted(skeleton_pairs(model)))
-    k = len(pairs)
+    ends = model._skeleton
+    k = len(ends)
     if k > edge_cap:
         raise CapExceededError(f"skeleton has {k} edges, above the directing cap {edge_cap}")
-    index = model._index
-    ends = [(index[u], index[v]) for u, v in pairs]
     ground, n = model.ground, model.n
+    pairs = tuple((ground[u], ground[v]) for u, v in ends)
     states = [(_identity_rows(n), up)] + [None] * k
     if k == 0:
         yield Directing(ground, pairs, (), _unpack_rows(states[0][0], n))
@@ -373,7 +373,7 @@ def _iter_anterial_directings(
 def _count_anterial_directings(model: IndependenceModel, options=_EDGE_OPTIONS) -> int:
     """How many directings `_iter_anterial_directings` yields with these
     options and no demand masks or upward mask, counted by a memo over
-    the sorted skeleton pairs instead of a walk to every leaf.
+    the same pairs instead of a walk to every leaf.
 
     At depth d the live nodes are the ends of the pairs not yet placed;
     every later placement steps and forbids between live nodes only.  A new
@@ -388,7 +388,7 @@ def _count_anterial_directings(model: IndependenceModel, options=_EDGE_OPTIONS) 
     parts have the same number of anterial completions, which the memo
     shares.
     """
-    ends = [(model._index[u], model._index[v]) for u, v in sorted(skeleton_pairs(model))]
+    ends = model._skeleton
     n, k = model.n, len(ends)
     live = [0] * (k + 1)  # live[d]: the nodes with a pair at depth d or later
     for d in range(k - 1, -1, -1):

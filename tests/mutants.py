@@ -168,6 +168,28 @@ MUTANTS = (
         "demands[min(depth[i, k], depth[j, k])]",
         ("test_collider_prune.py", "test_screen_prune.py"),
     ),
+    # the search's one skeleton order and its witness pass
+    Mutant(
+        "skeleton filtered on separated pairs",
+        "models.py",
+        "return tuple(pair for pair, row in self._elementary.items() if not row)",
+        "return tuple(pair for pair, row in self._elementary.items() if row)",
+        ("test_collider_prune.py",),
+    ),
+    Mutant(
+        "witness pass skipped when every non-collider mask is empty",
+        "faithfulness.py",
+        "if demands is not None:",
+        "if demands is not None and (any(demands) or not choice):",
+        ("test_collider_prune.py",),
+    ),
+    Mutant(
+        "screen passes recounted with the non-collider masks",
+        "faithfulness.py",
+        "directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, up=up)",
+        "directings = _iter_anterial_directings(model, edge_cap=edge_cap, options=options, colliders=demands, up=up)",
+        ("test_collider_prune.py", "test_screen_prune.py"),
+    ),
     # the frontier walk of separates
     Mutant(
         "touched head entry follows arrows out (inverted collider test)",

@@ -60,6 +60,19 @@ def gate_passing_models_without_witness():
     return tuple(consistent), tuple(inconsistent)
 
 
+@lru_cache(maxsize=None)
+def six_node_flips():
+    """The seeded one-statement flips of graph-induced six-node models,
+    seeds 0 to 299, that pass the AnG gate."""
+    flips = []
+    for seed in range(300):
+        model = induced_model(random_anterial_graph(random.Random(seed), "abcdef", 0.5))
+        model = flip_one_elementary(random.Random(seed), model)
+        if not faithfulness._gate_failure(model, "ANG", DEFAULT_CAPS):
+            flips.append(model)
+    return tuple(flips)
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """Each pass of the search's enumerator: [pruned, directings yielded]."""
@@ -78,16 +91,16 @@ def passes(monkeypatch):
 
 
 def assert_same_verdict(passes, model, kind):
-    """The verdict JSON equals the unpruned one.  The witness pass takes the
-    non-collider masks exactly when the model has one; a failure after such
-    a pass screens again without them, for the payload's screen count."""
+    """The verdict JSON equals the unpruned one.  The witness pass runs
+    unless a row rules out every directing, and takes the non-collider
+    masks whenever the skeleton has a pair; a failure screens once more
+    without them, for the payload's screen count."""
     verdict = restricted_graphical(model, kind)
     assert json.dumps(verdict.to_json_dict()) == json.dumps(reference_search_json(model, kind))
     checks = _collider_checks(model)
-    pruned = bool(checks) and any(checks)
     made = [with_checks for with_checks, _ in passes]
     passes.clear()
-    assert made == [pruned] + ([False] if pruned and not verdict.graphical else [])
+    assert made == ([bool(checks)] if checks is not None else []) + ([False] if not verdict.graphical else [])
     return verdict
 
 
@@ -204,6 +217,31 @@ def test_one_option_searches_take_no_prune(monkeypatch, passes, kind, text):
     monkeypatch.setattr(faithfulness, "_collider_checks", None)  # a call would fail
     assert restricted_graphical(induced_model(parse_graph_text(text)), kind).graphical
     assert passes == [[False, 1]]
+
+
+def test_rows_that_rule_out_every_directing_skip_the_witness_pass(monkeypatch):
+    flips = six_node_flips()
+    ruled_out = [model for model in flips if _collider_checks(model) is None]
+    assert (len(flips), len(ruled_out)) == (62, 13)
+    expected = [json.dumps(reference_search_json(model, "AnG")) for model in ruled_out]
+
+    def verify(*args, **kwargs):
+        raise AssertionError("a ruled-out search verified a directing")
+
+    monkeypatch.setattr(faithfulness, "is_faithful", verify)
+    assert [json.dumps(faithfulness.decide_graphical(model).to_json_dict()) for model in ruled_out] == expected
+
+
+def test_skeleton_is_the_unseparated_pairs_in_sorted_order():
+    for model in census_models() + seeded_graph_models():
+        g = model.ground
+        unseparated = []
+        for i, j in itertools.combinations(range(model.n), 2):
+            rest = [x for x in g if x not in (g[i], g[j])]
+            subsets = (c for r in range(len(rest) + 1) for c in itertools.combinations(rest, r))
+            if not any(model.contains({g[i]}, {g[j]}, set(c)) for c in subsets):
+                unseparated.append((i, j))
+        assert model._skeleton == tuple(unseparated)
 
 
 def test_collider_checks_layout():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from graphfaith.errors import CapExceededError, GraphError, InternalCheckError, ModelError
 from graphfaith.gaussian import adjacency_weight_matrix, model_from_concentration, model_from_covariance
-from graphfaith.generate import flip_one_elementary, random_anterial_graph, random_connected_ug
+from graphfaith.generate import all_anterial_graphs, flip_one_elementary, random_anterial_graph, random_connected_ug
 from graphfaith.graphs import (
     MixedGraph,
     classify,
@@ -325,6 +325,38 @@ def test_screen_passes_are_faithful_exactly_when_maximal_on_four_nodes():
     assert _stabilities_hold(model, minimal_preorder(ancestral).leq_rows)
     assert classify(ancestral).is_ag and not classify(ancestral).is_maximal
     assert not is_faithful(model, ancestral)
+
+
+def assert_witness_on_the_model_skeleton(h):
+    """h is faithful to its own model; the search must still find a witness
+    on that model's skeleton that induces the same model."""
+    model = induced_model(h)
+    verdict = decide_graphical(model)
+    assert verdict.graphical
+    assert any(induced_model(w, via_elementary=False) == model for w in verdict.witnesses)
+
+
+def test_non_maximal_four_node_graphs_have_a_witness_on_the_model_skeleton():
+    # `graphical: false` means no faithful graph only if every model with a
+    # faithful graph has one on its own skeleton.  The faithful graphs off
+    # their model's skeleton are the non-maximal ones: 78 anterial graphs on
+    # four nodes, inducing 13 of the 299 models.
+    non_maximal = [h for h in all_anterial_graphs("abcd") if h.adjacent_pairs != skeleton_pairs(induced_model(h))]
+    assert len(non_maximal) == 78
+    assert len({induced_model(h).members for h in non_maximal}) == 13
+    assert all(classify(h).is_maximal is False for h in non_maximal)
+    for h in non_maximal:
+        assert_witness_on_the_model_skeleton(h)
+
+
+def test_seeded_non_maximal_five_node_graphs_have_a_witness_on_the_model_skeleton():
+    rng, models = random.Random(5), {}
+    while len(models) < 24:
+        h = random_anterial_graph(rng, "abcde", 0.6)
+        if h.adjacent_pairs != skeleton_pairs(induced_model(h)):
+            models.setdefault(induced_model(h).members, h)
+    for h in models.values():
+        assert_witness_on_the_model_skeleton(h)
 
 
 def test_screen_passes_agree_three_ways_on_seeded_five_node_models():

@@ -130,8 +130,8 @@ def test_memo_count_equals_the_enumerator_on_seeded_models():
 
 @pytest.mark.parametrize("seed", [78, 87])
 def test_a_failure_counts_without_walking_every_directing(monkeypatch, seed):
-    # A row of s = 78 rules out every directing, so its one pass has no
-    # non-collider masks and its screen count is the payload's; s = 87 has
+    # A row of s = 78 rules out every directing, so its witness pass is
+    # skipped and its one pass is the payload's screen count; s = 87 has
     # masks, and a second pass screens without them.  Each pass walks only
     # what the upward prune keeps, and the memo counts the rest.
     passes = []

@@ -65,13 +65,15 @@ def test_search_cases_on_the_four_node_complete_graph():
 
 
 def test_search_cases_keep_their_digests():
-    # the verdicts of the unpruned search: s78 and s87 fail with the counts
-    # of every directing, and the pool cases cover every pool model in order
-    lines = run_script("search_cases.py", "s78", "s87", "dag-pool", "ang-pool").splitlines()
+    # the verdicts of the unpruned search: s78, s87 and e47 fail with the
+    # counts of every directing, and the pool cases cover every pool model
+    # in order
+    lines = run_script("search_cases.py", "s78", "s87", "e47", "dag-pool", "ang-pool").splitlines()
     found = {line.split(": ", 1)[0]: line.split(", ")[1:] for line in lines}
     assert found == {
         "s78": ["sha256 7d42d4333b4a7d3c", "not graphical", "compatible-preorder-search directings_tried=233956 stability_passing=0"],
         "s87": ["sha256 23d55a12a120f10e", "not graphical", "compatible-preorder-search directings_tried=127967 stability_passing=0"],
+        "e47": ["sha256 3396c634757ef84a", "not graphical", "compatible-preorder-search directings_tried=6942 stability_passing=0"],
         "dag-pool": ["sha256 1c56fb4e54ae72d1", "84 models", "2 graphical", "2 witnesses"],
         "ang-pool": ["sha256 f5c9c61895fe0637", "84 models", "84 graphical", "592 witnesses"],
     }
